@@ -187,7 +187,6 @@ void ResultCache::evict_to_fit(const std::filesystem::path& keep) {
     total -= e.bytes;
     ++counters_.evictions;
     CacheMetrics::get().evictions.add(1);
-    if (on_evict) on_evict(e.path.stem().string(), e.bytes);
   }
 }
 

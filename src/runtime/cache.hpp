@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -62,11 +61,6 @@ class ResultCache {
 
   CacheCounters counters() const;
   const CacheOptions& options() const { return opts_; }
-
-  /// Invoked as on_evict(key_hex, bytes) for every evicted entry (the
-  /// runtime wires this to the trace log). Set before first use; called
-  /// with the cache lock held, so the callback must not reenter the cache.
-  std::function<void(const std::string&, std::uint64_t)> on_evict;
 
  private:
   std::filesystem::path entry_path(const mathx::HashKey128& key) const;

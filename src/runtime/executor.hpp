@@ -1,7 +1,8 @@
-// Shared job executor: the tiered result store (in-memory hot tier above
-// the persistent disk cache) plus fresh execution, factored out of the
-// batch-scoped JobGraph so that any number of concurrently-running graphs,
-// scheduler workers, and server requests can share ONE set of cache tiers.
+// Job executor: the tiered result store (in-memory hot tier above the
+// persistent disk cache) plus fresh execution. The Scheduler owns one and
+// all of its workers share it, so every request — batch or server — goes
+// through ONE set of cache tiers; tools and tests that need a single
+// job's cold/warm behaviour call run() directly.
 // run() is safe to call from many threads at once: the hot tier is sharded,
 // the disk tier serializes internally, and execute_job is a pure function
 // of (job, threads).

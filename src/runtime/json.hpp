@@ -1,7 +1,7 @@
 // Minimal dependency-free JSON support for the runtime layer: a
-// recursive-descent parser for the batch design-service request files and
-// trace inspection, plus a tiny escaped-string helper shared with the JSONL
-// trace writer. Numbers are doubles (the request schema never needs more
+// recursive-descent parser for the design-service request files and
+// replies, plus a tiny escaped-string helper for tools that re-serialize
+// parsed values. Numbers are doubles (the request schema never needs more
 // than 53-bit integers); object keys keep insertion order.
 #pragma once
 
@@ -47,7 +47,7 @@ bool parse_json(std::string_view text, JsonValue& out, std::string* err);
 
 /// Appends `s` to `out` with JSON string escaping (no surrounding quotes).
 /// Thin forwarder to obs::append_json_escaped — the single escaper shared
-/// by the JSONL trace, the bench JsonWriter, and the obs exporters — kept
+/// by the bench JsonWriter and the obs exporters — kept
 /// here so existing runtime call sites need no include changes.
 void append_json_escaped(std::string& out, std::string_view s);
 

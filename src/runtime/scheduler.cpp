@@ -47,14 +47,10 @@ double now_us() {
 
 }  // namespace
 
-Scheduler::Scheduler(SchedulerOptions opts,
-                     std::shared_ptr<JobExecutor> executor)
-    : opts_(std::move(opts)), executor_(std::move(executor)) {
+Scheduler::Scheduler(SchedulerOptions opts)
+    : opts_(std::move(opts)), executor_(opts_.exec) {
   if (opts_.threads_per_job < 0 || opts_.max_inflight_per_client < 1) {
     throw std::invalid_argument("Scheduler: bad options");
-  }
-  if (!executor_) {
-    executor_ = std::make_shared<JobExecutor>(opts_.exec);
   }
   const int n = mathx::resolve_threads(opts_.workers);
   opts_.workers = n;
@@ -125,7 +121,6 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
   task->parent_span = parent_span;
   task->admission_us = admission_us;
   task->client = client;
-  task->seq = next_seq_++;
   task->submit_us = now_us();
   task->future = task->promise.get_future().share();
   inflight_.emplace(key, task);
@@ -136,16 +131,6 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
   m.submitted.add(1);
   m.queue_depth.set(static_cast<double>(queued_));
   m.inflight.set(static_cast<double>(inflight_.size()));
-
-  if (trace_ && trace_->enabled()) {
-    trace_->emit(JsonLine()
-                     .field("ev", "job_start")
-                     .field("job", static_cast<std::int64_t>(task->seq))
-                     .field("kind", kind_name(job_kind(task->job)))
-                     .field("key", key.hex())
-                     .field("label", task->label)
-                     .field("client", static_cast<std::int64_t>(client)));
-  }
   lock.unlock();
   cv_work_.notify_one();
   return Ticket{key, task->future, false};
@@ -197,7 +182,7 @@ void Scheduler::worker_loop(int /*worker*/) {
           .attr("label", task->label)
           .attr("client", static_cast<std::int64_t>(task->client));
       if (!task->trace_id.empty()) span.attr("trace_id", task->trace_id);
-      ExecResult er = executor_->run(task->job, task->key,
+      ExecResult er = executor_.run(task->job, task->key,
                                      opts_.threads_per_job, task->trace_id);
       // The scheduler alone can see the pre-execution waits; fold them
       // into the job's stage record before the future freezes it.
@@ -212,29 +197,13 @@ void Scheduler::worker_loop(int /*worker*/) {
                               .count();
     m.job_us.observe(static_cast<std::int64_t>(wall_s * 1e6));
 
-    // Resolve the future BEFORE leaving the in-flight table, so a
-    // duplicate submit racing with completion either joins a resolved
-    // task or misses the table and hits the cache tiers — never recomputes
-    // a result that is milliseconds from materializing.
-    if (error) {
-      task->promise.set_exception(error);
-    } else {
-      task->promise.set_value(std::move(result));
-    }
-
-    if (trace_ && trace_->enabled()) {
-      trace_->emit(JsonLine()
-                       .field("ev", "job_finish")
-                       .field("job", static_cast<std::int64_t>(task->seq))
-                       .field("kind", kind_name(job_kind(task->job)))
-                       .field("key", task->key.hex())
-                       .field("label", task->label)
-                       .field("client",
-                              static_cast<std::int64_t>(task->client))
-                       .field("error", error ? true : false)
-                       .field("wall_s", wall_s));
-    }
-
+    // Leave the in-flight table, free the client slot and count the
+    // completion BEFORE resolving the future. A client that reads the
+    // reply and resubmits the same key then misses the table and is
+    // answered by the cache tiers (run() wrote them before returning),
+    // instead of joining this finished task and inheriting its stage
+    // record. A duplicate racing with the erase either joins the task
+    // (resolved moments later) or hits the tiers.
     {
       std::lock_guard<std::mutex> lock(mutex_);
       inflight_.erase(task->key);
@@ -248,6 +217,12 @@ void Scheduler::worker_loop(int /*worker*/) {
     }
     m.completed.add(1);
     cv_slot_.notify_all();
+
+    if (error) {
+      task->promise.set_exception(error);
+    } else {
+      task->promise.set_value(std::move(result));
+    }
   }
 }
 

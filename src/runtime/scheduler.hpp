@@ -1,8 +1,9 @@
-// Long-lived shared scheduler: the execution backend of the persistent
-// design server. Callers submit() jobs and get back a shared future; a
-// fixed pool of worker threads drains the queues through a shared
-// JobExecutor (hot tier + disk cache), so any number of concurrent clients
-// multiplex over one set of cores and one result store.
+// Shared job scheduler: the one execution engine of the design service —
+// the persistent server runs on it, and so does batch mode (an in-process
+// scheduler with no socket). Callers submit() jobs and get back a shared
+// future; a fixed pool of worker threads drains the queues through the
+// scheduler's JobExecutor (hot tier + disk cache), so any number of
+// concurrent clients multiplex over one set of cores and one result store.
 //
 // Three properties the serve path depends on:
 //
@@ -40,7 +41,6 @@
 
 #include "runtime/executor.hpp"
 #include "runtime/job.hpp"
-#include "runtime/trace.hpp"
 
 namespace csdac::runtime {
 
@@ -76,10 +76,8 @@ class Scheduler {
     bool deduped = false;  ///< attached to an already-in-flight task
   };
 
-  /// Owns its executor (built from opts.exec) unless a shared one is
-  /// given. Workers start immediately.
-  explicit Scheduler(SchedulerOptions opts,
-                     std::shared_ptr<JobExecutor> executor = nullptr);
+  /// Owns its executor, built from opts.exec. Workers start immediately.
+  explicit Scheduler(SchedulerOptions opts);
   /// Drains nothing: pending tasks are abandoned with a broken-promise
   /// error only if the process is going down anyway — prefer waiting on
   /// your tickets before destruction.
@@ -98,11 +96,7 @@ class Scheduler {
   Ticket submit(Job job, std::uint64_t client = 0, std::string label = {},
                 std::string trace_id = {}, std::uint64_t parent_span = 0);
 
-  /// Optional JSONL trace (job_start/job_finish lines with client ids).
-  /// Must be set before the first submit and outlive the scheduler.
-  void set_trace(TraceLog* trace) { trace_ = trace; }
-
-  JobExecutor& executor() { return *executor_; }
+  JobExecutor& executor() { return executor_; }
   SchedulerCounters counters() const;
   int workers() const { return static_cast<int>(threads_.size()); }
   /// Jobs queued or running right now.
@@ -116,7 +110,6 @@ class Scheduler {
     std::string trace_id;
     std::uint64_t parent_span = 0;
     std::uint64_t client = 0;
-    std::uint64_t seq = 0;
     double submit_us = 0.0;
     std::int64_t admission_us = 0;  ///< time submit() blocked on the cap
     std::promise<ResultPtr> promise;
@@ -128,14 +121,12 @@ class Scheduler {
   TaskPtr next_task_locked();
 
   SchedulerOptions opts_;
-  std::shared_ptr<JobExecutor> executor_;
-  TraceLog* trace_ = nullptr;
+  JobExecutor executor_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;  ///< workers wait for queued tasks
   std::condition_variable cv_slot_;  ///< submitters wait for client slots
   bool stop_ = false;
-  std::uint64_t next_seq_ = 0;
   std::map<mathx::HashKey128, TaskPtr> inflight_;  ///< queued + running
   std::map<std::uint64_t, std::deque<TaskPtr>> queues_;
   std::map<std::uint64_t, int> client_load_;  ///< queued + running per client

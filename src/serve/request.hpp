@@ -62,7 +62,7 @@ class RequestError : public std::runtime_error {
 };
 
 /// One entry of a parsed request, in request order (duplicates NOT folded
-/// here — dedup is the graph's / scheduler's job).
+/// here — dedup is batch mode's / the scheduler's job).
 struct RequestJob {
   std::string id;  ///< caller's "id", or "jobN" by position
   runtime::Job job;

@@ -13,7 +13,7 @@
 #include "arch/weighting.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/hash.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 #include "serve/request.hpp"
 
 namespace csdac::runtime {
@@ -33,6 +33,11 @@ struct ScratchDir {
   ~ScratchDir() { fs::remove_all(path); }
   std::string str() const { return path.string(); }
 };
+
+/// Resolves `job` through `exec` on `threads` engine workers.
+ExecResult run_on(JobExecutor& exec, const Job& job, int threads) {
+  return exec.run(job, job_key(job), threads);
+}
 
 core::DacSpec spec10() {
   core::DacSpec spec;
@@ -272,20 +277,18 @@ TEST(ArchJobs, CompareSweepShapeAndActivityOrdering) {
 // zero mismatch chips.
 TEST(ArchRoundTrip, CachedDynSpectrumBitIdenticalAndRecomputesNothing) {
   ScratchDir dir("roundtrip-arch-dyn");
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(small_dyn_job(), cold);
-  ASSERT_FALSE(first.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  JobExecutor exec(eo);
+  const ExecResult first = run_on(exec, small_dyn_job(), 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<DynSpectrumResult>(first.value);
 
   const std::int64_t waves0 = arch::arch_instruments().waveforms.value();
   const std::int64_t evals0 = dac::mc_chips_evaluated();
   for (const int threads : {1, 3}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(small_dyn_job(), warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = run_on(exec, small_dyn_job(), threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<DynSpectrumResult>(again.value);
     EXPECT_EQ(cached.chips, fresh.chips);
     EXPECT_EQ(cached.pass, fresh.pass);
@@ -305,13 +308,13 @@ TEST(ArchRoundTrip, CachedDynSpectrumBitIdenticalAndRecomputesNothing) {
 
 TEST(ArchRoundTrip, CachedArchCompareBitIdentical) {
   ScratchDir dir("roundtrip-arch-cmp");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir.str();
-  const JobRecord c1 = run_job(small_compare_job(), opts);
-  ASSERT_FALSE(c1.cache_hit);
-  const JobRecord c2 = run_job(small_compare_job(), opts);
-  ASSERT_TRUE(c2.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  JobExecutor exec(eo);
+  const ExecResult c1 = run_on(exec, small_compare_job(), 2);
+  ASSERT_FALSE(c1.cache_hit());
+  const ExecResult c2 = run_on(exec, small_compare_job(), 2);
+  ASSERT_TRUE(c2.cache_hit());
   const auto& a = std::get<ArchCompareResult>(c1.value);
   const auto& b = std::get<ArchCompareResult>(c2.value);
   ASSERT_EQ(a.points.size(), b.points.size());

@@ -11,7 +11,7 @@
 
 #include "dac/rare_event.hpp"
 #include "dac/static_analysis.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 
 namespace csdac::runtime {
 namespace {
@@ -30,6 +30,11 @@ struct ScratchDir {
   ~ScratchDir() { fs::remove_all(path); }
   std::string str() const { return path.string(); }
 };
+
+/// Resolves `job` through `exec` on `threads` engine workers.
+ExecResult run_on(JobExecutor& exec, const Job& job, int threads) {
+  return exec.run(job, job_key(job), threads);
+}
 
 core::DacSpec spec8() {
   core::DacSpec spec;
@@ -135,11 +140,11 @@ TEST(RareJobKey, EveryStratAndBridgeFieldChangesTheKey) {
 
 TEST(RareRoundTrip, CachedIsResultBitIdenticalAndRecomputesNothing) {
   ScratchDir dir("roundtrip-rare-is");
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(small_is_job(), cold);
-  ASSERT_FALSE(first.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  JobExecutor exec(eo);
+  const ExecResult first = run_on(exec, small_is_job(), 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<IsYieldResult>(first.value);
 
   const auto direct = dac::inl_yield_is(
@@ -154,10 +159,8 @@ TEST(RareRoundTrip, CachedIsResultBitIdenticalAndRecomputesNothing) {
 
   const std::int64_t evals0 = dac::mc_chips_evaluated();
   for (const int threads : {1, 3}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(small_is_job(), warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = run_on(exec, small_is_job(), threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<IsYieldResult>(again.value);
     EXPECT_EQ(cached.fails, fresh.fails);
     EXPECT_EQ(cached.yield, fresh.yield);
@@ -174,14 +177,14 @@ TEST(RareRoundTrip, CachedIsResultBitIdenticalAndRecomputesNothing) {
 
 TEST(RareRoundTrip, CachedStratAndBridgeBitIdentical) {
   ScratchDir dir("roundtrip-rare-sb");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir.str();
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  JobExecutor exec(eo);
 
-  const JobRecord s1 = run_job(small_strat_job(), opts);
-  ASSERT_FALSE(s1.cache_hit);
-  const JobRecord s2 = run_job(small_strat_job(), opts);
-  ASSERT_TRUE(s2.cache_hit);
+  const ExecResult s1 = run_on(exec, small_strat_job(), 2);
+  ASSERT_FALSE(s1.cache_hit());
+  const ExecResult s2 = run_on(exec, small_strat_job(), 2);
+  ASSERT_TRUE(s2.cache_hit());
   const auto& sf = std::get<StratYieldResult>(s1.value);
   const auto& sc = std::get<StratYieldResult>(s2.value);
   EXPECT_EQ(sc.chips, sf.chips);
@@ -194,10 +197,10 @@ TEST(RareRoundTrip, CachedStratAndBridgeBitIdentical) {
   EXPECT_EQ(sf.yield, s_direct.yield);
   EXPECT_EQ(sf.pairs, s_direct.pairs);
 
-  const JobRecord b1 = run_job(small_bridge_job(), opts);
-  ASSERT_FALSE(b1.cache_hit);
-  const JobRecord b2 = run_job(small_bridge_job(), opts);
-  ASSERT_TRUE(b2.cache_hit);
+  const ExecResult b1 = run_on(exec, small_bridge_job(), 2);
+  ASSERT_FALSE(b1.cache_hit());
+  const ExecResult b2 = run_on(exec, small_bridge_job(), 2);
+  ASSERT_TRUE(b2.cache_hit());
   const auto& bf = std::get<BridgeYieldResult>(b1.value);
   const auto& bc = std::get<BridgeYieldResult>(b2.value);
   EXPECT_EQ(bc.yield, bf.yield);

@@ -1,7 +1,8 @@
-// Tests for the job-graph runtime: cache-key discipline, persistent-store
-// round trips (bit-identical across thread counts), corruption and
-// eviction behavior, graph dedup/ordering, the JSON parser of the batch
-// service, and equivalence of runtime jobs with direct engine calls.
+// Tests for the job runtime: cache-key discipline, persistent-store
+// round trips through JobExecutor::run (bit-identical across thread
+// counts), corruption and eviction behavior, the JSON parser of the
+// design service, and equivalence of runtime jobs with direct engine
+// calls.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +14,7 @@
 #include "core/accuracy.hpp"
 #include "dac/static_analysis.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/json.hpp"
 #include "tech/tech.hpp"
 
@@ -35,6 +36,19 @@ struct ScratchDir {
   ~ScratchDir() { fs::remove_all(path); }
   std::string str() const { return path.string(); }
 };
+
+/// Resolves `job` through `exec` on `threads` engine workers.
+ExecResult run_on(JobExecutor& exec, const Job& job, int threads) {
+  return exec.run(job, job_key(job), threads);
+}
+
+/// Executor over the persistent store at `dir` only (no hot tier), so a
+/// repeat run is served from disk exactly as in a fresh process.
+ExecutorOptions disk_only(const std::string& dir) {
+  ExecutorOptions eo;
+  eo.cache_dir = dir;
+  return eo;
+}
 
 InlYieldJob small_inl_job() {
   InlYieldJob j;
@@ -128,12 +142,9 @@ TEST(JobKey, ThreadCountIsNotPartOfTheKey) {
   // execution option: run the same job on different thread counts and
   // expect one cache entry total.
   ScratchDir dir("threads-key");
-  RuntimeOptions opts;
-  opts.cache_dir = dir.str();
+  JobExecutor exec(disk_only(dir.str()));
   for (const int threads : {1, 2, 7}) {
-    RuntimeOptions o = opts;
-    o.threads = threads;
-    (void)run_job(small_inl_job(), o);
+    (void)run_on(exec, small_inl_job(), threads);
   }
   std::size_t entries = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
@@ -148,18 +159,14 @@ TEST(ResultRoundTrip, CachedInlYieldBitIdenticalAcrossThreads) {
   ScratchDir dir("roundtrip-inl");
   const InlYieldJob job = small_inl_job();
 
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(job, cold);
-  ASSERT_FALSE(first.cache_hit);
+  JobExecutor exec(disk_only(dir.str()));
+  const ExecResult first = run_on(exec, job, 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<YieldResult>(first.value);
 
   for (const int threads : {1, 2, 7}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(job, warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = run_on(exec, job, threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<YieldResult>(again.value);
     EXPECT_EQ(cached.chips, fresh.chips);
     EXPECT_EQ(cached.pass, fresh.pass);
@@ -168,9 +175,8 @@ TEST(ResultRoundTrip, CachedInlYieldBitIdenticalAcrossThreads) {
 
     // And the cached value must equal what a fresh run at this thread
     // count computes (thread-count invariance of the engine).
-    RuntimeOptions nocache;
-    nocache.threads = threads;
-    const JobRecord direct = run_job(job, nocache);
+    JobExecutor nocache(ExecutorOptions{});
+    const ExecResult direct = run_on(nocache, job, threads);
     const auto& recomputed = std::get<YieldResult>(direct.value);
     EXPECT_EQ(cached.yield, recomputed.yield);
     EXPECT_EQ(cached.ci95, recomputed.ci95);
@@ -184,13 +190,11 @@ TEST(ResultRoundTrip, CachedSweepBitIdenticalEveryField) {
   job.cs = {0.1, 0.9, 6};
   job.sw = {0.1, 0.9, 6};
 
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir.str();
-  const JobRecord first = run_job(job, opts);
-  ASSERT_FALSE(first.cache_hit);
-  const JobRecord second = run_job(job, opts);
-  ASSERT_TRUE(second.cache_hit);
+  JobExecutor exec(disk_only(dir.str()));
+  const ExecResult first = run_on(exec, job, 2);
+  ASSERT_FALSE(first.cache_hit());
+  const ExecResult second = run_on(exec, job, 2);
+  ASSERT_TRUE(second.cache_hit());
 
   const auto& a = std::get<SweepResult>(first.value).points;
   const auto& b = std::get<SweepResult>(second.value).points;
@@ -210,13 +214,12 @@ TEST(ResultRoundTrip, CachedSweepBitIdenticalEveryField) {
 
 TEST(ResultRoundTrip, WarmRunDoesZeroChipEvaluations) {
   ScratchDir dir("warm-zero");
-  RuntimeOptions opts;
-  opts.cache_dir = dir.str();
-  (void)run_job(small_inl_job(), opts);
+  JobExecutor exec(disk_only(dir.str()));
+  (void)run_on(exec, small_inl_job(), 0);
 
   const std::int64_t before = dac::mc_chips_evaluated();
-  const JobRecord warm = run_job(small_inl_job(), opts);
-  EXPECT_TRUE(warm.cache_hit);
+  const ExecResult warm = run_on(exec, small_inl_job(), 0);
+  EXPECT_TRUE(warm.cache_hit());
   EXPECT_EQ(dac::mc_chips_evaluated() - before, 0);
   EXPECT_EQ(warm.stats.cache_hits, 1);
   EXPECT_EQ(warm.stats.evaluated, 0);
@@ -226,11 +229,10 @@ TEST(ResultRoundTrip, WarmRunDoesZeroChipEvaluations) {
 
 TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
   const InlYieldJob fixed = small_inl_job();
-  RuntimeOptions opts;
-  opts.threads = 2;
-  // Keep the JobRecord alive: std::get on the rvalue member would leave
-  // the reference dangling once the temporary record is destroyed.
-  const JobRecord rec_fixed = run_job(fixed, opts);
+  JobExecutor exec(ExecutorOptions{});
+  // Keep the ExecResult alive: std::get on the rvalue member would leave
+  // the reference dangling once the temporary result is destroyed.
+  const ExecResult rec_fixed = run_on(exec, fixed, 2);
   const auto& rt_fixed = std::get<YieldResult>(rec_fixed.value);
   const auto direct_fixed =
       dac::inl_yield_mc(fixed.spec, fixed.sigma_unit, fixed.chips, fixed.seed,
@@ -244,7 +246,7 @@ TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
   adaptive.min_chips = 64;
   adaptive.batch = 64;
   adaptive.ci_half_width = 0.05;
-  const JobRecord rec_adaptive = run_job(adaptive, opts);
+  const ExecResult rec_adaptive = run_on(exec, adaptive, 2);
   const auto& rt_adaptive = std::get<YieldResult>(rec_adaptive.value);
   dac::AdaptiveMcOptions aopts;
   aopts.max_chips = adaptive.chips;
@@ -264,9 +266,8 @@ TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
 
 TEST(Cache, CorruptEntryRecomputesInsteadOfServingGarbage) {
   ScratchDir dir("corrupt");
-  RuntimeOptions opts;
-  opts.cache_dir = dir.str();
-  const JobRecord fresh = run_job(small_inl_job(), opts);
+  JobExecutor exec(disk_only(dir.str()));
+  const ExecResult fresh = run_on(exec, small_inl_job(), 0);
   const auto& want = std::get<YieldResult>(fresh.value);
 
   // Flip one payload byte in the single stored entry.
@@ -283,19 +284,16 @@ TEST(Cache, CorruptEntryRecomputesInsteadOfServingGarbage) {
     f.write(&flip, 1);
   }
 
-  JobGraph graph(opts);
-  const JobId id = graph.add(small_inl_job());
-  graph.run_all();
-  const JobRecord& redone = graph.record(id);
-  EXPECT_FALSE(redone.cache_hit);
-  EXPECT_EQ(graph.cache_counters().corrupt, 1);
+  const ExecResult redone = run_on(exec, small_inl_job(), 0);
+  EXPECT_FALSE(redone.cache_hit());
+  EXPECT_EQ(exec.disk_counters().corrupt, 1);
   const auto& got = std::get<YieldResult>(redone.value);
   EXPECT_EQ(got.yield, want.yield);
   EXPECT_EQ(got.ci95, want.ci95);
 
   // The recompute overwrote the bad entry: next run hits again.
-  const JobRecord healed = run_job(small_inl_job(), opts);
-  EXPECT_TRUE(healed.cache_hit);
+  const ExecResult healed = run_on(exec, small_inl_job(), 0);
+  EXPECT_TRUE(healed.cache_hit());
 }
 
 TEST(Cache, TruncatedEntryIsAMiss) {
@@ -329,17 +327,11 @@ TEST(Cache, EvictsLeastRecentlyUsedToFitBudget) {
   copts.max_bytes = 400;  // roughly two 100-byte payloads + headers
   ResultCache cache(copts);
 
-  std::vector<std::string> evicted;
-  cache.on_evict = [&evicted](const std::string& key_hex, std::uint64_t) {
-    evicted.push_back(key_hex);
-  };
-
   const std::vector<unsigned char> payload(100, 1);
   for (std::uint64_t i = 1; i <= 4; ++i) {
     cache.put(mathx::HashKey128{i, i}, payload);
   }
   EXPECT_GE(cache.counters().evictions, 1);
-  EXPECT_FALSE(evicted.empty());
   // The most recent insert always survives.
   std::vector<unsigned char> back;
   EXPECT_TRUE(cache.get(mathx::HashKey128{4, 4}, back));
@@ -348,81 +340,6 @@ TEST(Cache, EvictsLeastRecentlyUsedToFitBudget) {
     total += fs::file_size(e.path());
   }
   EXPECT_LE(total, copts.max_bytes);
-}
-
-// --- Graph behavior --------------------------------------------------------
-
-TEST(JobGraph, DeduplicatesIdenticalJobs) {
-  JobGraph graph;
-  const JobId a = graph.add(small_inl_job(), "first");
-  const JobId b = graph.add(small_inl_job(), "second");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(graph.size(), 1u);
-
-  InlYieldJob other = small_inl_job();
-  other.seed += 1;
-  EXPECT_NE(graph.add(other), a);
-  EXPECT_EQ(graph.size(), 2u);
-}
-
-TEST(JobGraph, DependencyOrderVisibleInTrace) {
-  ScratchDir dir("deps");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.trace_path = (dir.path / "trace.jsonl").string();
-  fs::create_directories(dir.path);
-
-  JobGraph graph(opts);
-  InlYieldJob a = small_inl_job();
-  InlYieldJob b = small_inl_job();
-  b.seed = 9;
-  InlYieldJob c = small_inl_job();
-  c.seed = 10;
-  const JobId ia = graph.add(a, "upstream");
-  const JobId ib = graph.add(b, "mid");
-  const JobId ic = graph.add(c, "down");
-  graph.depend(ib, ia);
-  graph.depend(ic, ib);
-  graph.run_all();
-
-  // Replay the trace: each job's start must come after its prerequisite's
-  // finish.
-  std::ifstream in(opts.trace_path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::pair<std::string, int>> events;  // (ev, job)
-  std::string line;
-  while (std::getline(in, line)) {
-    JsonValue ev;
-    std::string err;
-    ASSERT_TRUE(parse_json(line, ev, &err)) << err;
-    if (const auto* e = ev.find("ev")) {
-      events.emplace_back(e->str,
-                          static_cast<int>(ev.int_or("job", -1)));
-    }
-  }
-  const auto index_of = [&events](const char* kind, int job) {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (events[i].first == kind && events[i].second == job) return i;
-    }
-    return events.size();
-  };
-  ASSERT_LT(index_of("job_finish", ia), events.size());
-  EXPECT_LT(index_of("job_finish", ia), index_of("job_start", ib));
-  EXPECT_LT(index_of("job_finish", ib), index_of("job_start", ic));
-  EXPECT_LT(index_of("run_start", -1), index_of("job_start", ia));
-}
-
-TEST(JobGraph, CycleThrows) {
-  JobGraph graph;
-  InlYieldJob a = small_inl_job();
-  InlYieldJob b = small_inl_job();
-  b.seed = 9;
-  const JobId ia = graph.add(a);
-  const JobId ib = graph.add(b);
-  graph.depend(ib, ia);
-  graph.depend(ia, ib);
-  EXPECT_THROW(graph.run_all(), std::runtime_error);
-  EXPECT_THROW(graph.depend(ia, ia), std::invalid_argument);
 }
 
 // --- JSON parser -----------------------------------------------------------
@@ -470,78 +387,6 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("{}trailing", v, &err));
   EXPECT_FALSE(parse_json(R"({"x":1e999})", v, &err));  // non-finite
   EXPECT_FALSE(err.empty());
-}
-
-TEST(JsonLine, HostileStringsStayValidJson) {
-  // Keys and values with quotes, backslashes, and control bytes must come
-  // back intact through the parser — one escaper serves every writer.
-  const std::string hostile = "a\"b\\c\nd\te\x01f";
-  const JsonLine line = JsonLine()
-                            .field("ev", hostile)
-                            .field(hostile, "v")
-                            .field("n", std::int64_t{-3});
-  JsonValue v;
-  std::string err;
-  ASSERT_TRUE(parse_json(line.str(), v, &err)) << err << "\n" << line.str();
-  EXPECT_EQ(v.string_or("ev", ""), hostile);
-  EXPECT_EQ(v.string_or(hostile, ""), "v");
-  EXPECT_EQ(v.int_or("n", 0), -3);
-}
-
-// --- Trace schema ----------------------------------------------------------
-
-TEST(Trace, RunEmitsSchemaTagAndSpans) {
-  ScratchDir dir("trace2");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.trace_path = (dir.path / "trace.jsonl").string();
-  fs::create_directories(dir.path);
-  {
-    JobGraph graph(opts);
-    graph.add(small_inl_job(), "traced");
-    graph.run_all();
-  }
-
-  std::ifstream in(opts.trace_path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  bool saw_schema = false;
-  std::vector<JsonValue> spans;
-  while (std::getline(in, line)) {
-    JsonValue ev;
-    std::string err;
-    ASSERT_TRUE(parse_json(line, ev, &err)) << err << "\n" << line;
-    const std::string kind = ev.string_or("ev", "");
-    if (kind == "run_start") {
-      EXPECT_EQ(ev.string_or("schema", ""), kTraceSchema);
-      saw_schema = true;
-    } else if (kind == "span") {
-      spans.push_back(ev);
-    }
-  }
-  EXPECT_TRUE(saw_schema);
-  ASSERT_FALSE(spans.empty());
-
-  bool saw_run = false, saw_job = false;
-  std::int64_t run_id = 0, job_parent = -1;
-  for (const auto& s : spans) {
-    EXPECT_GT(s.int_or("id", 0), 0);
-    EXPECT_GE(s.int_or("dur_us", -1), 0);
-    const std::string name = s.string_or("name", "");
-    if (name == "graph.run") {
-      saw_run = true;
-      run_id = s.int_or("id", 0);
-    } else if (name == "graph.job") {
-      saw_job = true;
-      job_parent = s.int_or("parent", -1);
-      EXPECT_EQ(s.string_or("attr.label", ""), "traced");
-      EXPECT_EQ(s.string_or("attr.cache", ""), "off");
-    }
-  }
-  EXPECT_TRUE(saw_run);
-  ASSERT_TRUE(saw_job);
-  // The job span nests under the run span.
-  EXPECT_EQ(job_parent, run_id);
 }
 
 }  // namespace

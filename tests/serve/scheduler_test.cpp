@@ -1,39 +1,22 @@
 // Tests for the shared long-lived scheduler: future-based submission,
 // cross-request single-flight dedup, per-client admission control,
 // round-robin fairness, batch-lifetime independence (the regression for
-// the old batch-scoped runtime), and JobGraph running against a shared
-// executor.
+// the old batch-scoped runtime), bookkeeping that is complete before a
+// future resolves, and concurrent runs on one executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/accuracy.hpp"
-#include "runtime/graph.hpp"
+#include "obs/span.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace csdac::runtime {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const char* tag) {
-    path = fs::path(testing::TempDir()) /
-           (std::string("csdac-") + tag + "-" +
-            std::to_string(static_cast<unsigned long long>(
-                reinterpret_cast<std::uintptr_t>(this))));
-    fs::remove_all(path);
-  }
-  ~ScratchDir() { fs::remove_all(path); }
-  std::string str() const { return path.string(); }
-};
 
 InlYieldJob job_with(std::uint64_t seed, int chips) {
   InlYieldJob j;
@@ -50,16 +33,6 @@ SchedulerOptions ram_only(int workers) {
   return o;
 }
 
-/// The worker finishes its bookkeeping (in-flight erase, completed
-/// counter) AFTER resolving the future, so a test that observed the
-/// future must give that tail a bounded moment before asserting on it.
-void wait_for_completed(const Scheduler& sched, std::int64_t n) {
-  for (int spin = 0; spin < 2000; ++spin) {
-    if (sched.counters().completed >= n) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 TEST(Scheduler, ResolvesFutureWithTheDirectResult) {
   Scheduler sched(ram_only(2));
   const Job job = job_with(11, 50);
@@ -71,7 +44,8 @@ TEST(Scheduler, ResolvesFutureWithTheDirectResult) {
             std::get<YieldResult>(direct).yield);
   EXPECT_EQ(std::get<YieldResult>(res->value).pass,
             std::get<YieldResult>(direct).pass);
-  wait_for_completed(sched, 1);
+  // The worker finishes its bookkeeping before it resolves the future.
+  EXPECT_EQ(sched.inflight(), 0);
   const SchedulerCounters c = sched.counters();
   EXPECT_EQ(c.submitted, 1);
   EXPECT_EQ(c.completed, 1);
@@ -110,7 +84,9 @@ TEST(Scheduler, CompletedJobsAreServedByTheCacheNotDedup) {
   Scheduler sched(ram_only(1));
   const Job job = job_with(77, 50);
   sched.submit(job, 0).future.wait();
-  wait_for_completed(sched, 1);  // the in-flight erase trails the future
+  // The task left the in-flight table before its future resolved.
+  EXPECT_EQ(sched.inflight(), 0);
+  EXPECT_EQ(sched.counters().completed, 1);
   const auto again = sched.submit(job, 0);
   EXPECT_FALSE(again.deduped);  // left the in-flight table on completion
   EXPECT_EQ(again.future.get()->tier, ResultTier::kHot);
@@ -125,27 +101,24 @@ TEST(Scheduler, AdmissionCapBlocksSubmitUntilSlotsFree) {
   // even on a loaded 1-core runner (~100 ms of chips vs. a microsecond
   // gap between the two calls).
   const auto first = sched.submit(job_with(300, 20000), 7, "slow");
-  // The same client's next submit must block until the first completes.
+  // The same client's next submit must block until the first completes:
+  // the worker frees the slot and counts the completion under one lock
+  // (the future itself resolves just after).
   const auto second = sched.submit(job_with(301, 50), 7, "blocked");
-  EXPECT_TRUE(first.future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready)
+  EXPECT_GE(sched.counters().completed, 1)
       << "submit returned before the client's slot freed";
+  first.future.wait();
   second.future.wait();
   EXPECT_GE(sched.counters().admission_waits, 1);
 }
 
 TEST(Scheduler, RoundRobinInterleavesClientsAndTracesTheirIds) {
-  ScratchDir dir("sched-trace");
-  const std::string trace_path = (dir.path / "trace.jsonl").string();
-  fs::create_directories(dir.path);
-  TraceLog trace;
-  trace.open(trace_path);
-
+  obs::SpanCollector spans;
+  obs::Tracer::global().add_sink(&spans);
   SchedulerOptions o = ram_only(1);
   std::vector<Scheduler::Ticket> tickets;
   {
     Scheduler sched(o);
-    sched.set_trace(&trace);
     // Pin the worker, then queue client 0 twice and client 1 once. The
     // round-robin pick must serve client 1 between client 0's jobs.
     tickets.push_back(sched.submit(job_with(500, 300), 0, "blocker"));
@@ -154,18 +127,19 @@ TEST(Scheduler, RoundRobinInterleavesClientsAndTracesTheirIds) {
     tickets.push_back(sched.submit(job_with(503, 50), 1, "b1"));
     for (const auto& t : tickets) t.future.wait();
   }
+  obs::Tracer::global().remove_sink(&spans);
 
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.is_open());
+  // One worker: sched.job spans finish in execution order.
   std::vector<std::string> finish_order;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"ev\":\"job_finish\"") == std::string::npos) continue;
-    const auto pos = line.find("\"label\":\"");
-    ASSERT_NE(pos, std::string::npos) << line;
-    const auto start = pos + 9;
-    finish_order.push_back(line.substr(start, line.find('"', start) - start));
-    EXPECT_NE(line.find("\"client\":"), std::string::npos) << line;
+  for (const obs::SpanRecord& span : spans.take()) {
+    if (span.name != "sched.job") continue;
+    std::string label, client;
+    for (const auto& [k, v] : span.attrs) {
+      if (k == "label") label = v;
+      if (k == "client") client = v;
+    }
+    EXPECT_FALSE(client.empty()) << label;
+    finish_order.push_back(label);
   }
   ASSERT_EQ(finish_order.size(), 4u);
   // Whether the worker grabbed "blocker" before or after the rest were
@@ -246,61 +220,27 @@ TEST(Scheduler, ManyConcurrentSubmittersAllGetCorrectResults) {
           << "client " << c << " job " << i;
     }
   }
-  // The completed counter is bumped after the future resolves; give the
-  // worker's bookkeeping a bounded moment to catch up.
-  for (int spin = 0; spin < 2000; ++spin) {
-    const SchedulerCounters c = sched.counters();
-    if (c.completed == c.submitted) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   const SchedulerCounters counters = sched.counters();
   EXPECT_EQ(counters.submitted + counters.dedup_inflight,
             kClients * kJobsEach);
   EXPECT_EQ(counters.completed, counters.submitted);
 }
 
-// --- JobGraph on a shared executor -----------------------------------------
+// --- One executor, many concurrent callers ---------------------------------
 
-TEST(SharedExecutorGraph, NullExecutorThrows) {
-  EXPECT_THROW(JobGraph(RuntimeOptions{}, nullptr), std::invalid_argument);
-}
-
-TEST(SharedExecutorGraph, GraphsShareOneSetOfCacheTiers) {
+TEST(SharedExecutor, ConcurrentRunsStayIndependent) {
   ExecutorOptions eo;
   eo.hot_bytes = 1 << 20;
-  auto exec = std::make_shared<JobExecutor>(eo);
-  const Job job = job_with(42, 50);
-
-  JobGraph g1(RuntimeOptions{}, exec);
-  const JobId id1 = g1.add(job);
-  g1.run_all();
-  EXPECT_FALSE(g1.record(id1).cache_hit);
-
-  JobGraph g2(RuntimeOptions{}, exec);
-  const JobId id2 = g2.add(job);
-  g2.run_all();
-  EXPECT_TRUE(g2.record(id2).cache_hit);
-  EXPECT_EQ(g2.record(id2).tier, ResultTier::kHot);
-  EXPECT_EQ(g1.record(id1).stats.evaluated + g2.record(id2).stats.evaluated,
-            50);
-  EXPECT_EQ(std::get<YieldResult>(g1.record(id1).value).yield,
-            std::get<YieldResult>(g2.record(id2).value).yield);
-}
-
-TEST(SharedExecutorGraph, ConcurrentGraphsOnOneExecutorStayIndependent) {
-  ExecutorOptions eo;
-  eo.hot_bytes = 1 << 20;
-  auto exec = std::make_shared<JobExecutor>(eo);
+  JobExecutor exec(eo);
   std::vector<std::thread> threads;
   std::vector<double> yields(4, -1.0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&exec, &yields, t] {
-      JobGraph g(RuntimeOptions{}, exec);
-      // Two graphs share job 1000; two share job 1001.
-      const JobId id = g.add(job_with(1000 + (t % 2), 60));
-      g.run_all();
+      // Two callers share job 1000; two share job 1001.
+      const Job job = job_with(1000 + (t % 2), 60);
+      const ExecResult r = exec.run(job, job_key(job), 1);
       yields[static_cast<std::size_t>(t)] =
-          std::get<YieldResult>(g.record(id).value).yield;
+          std::get<YieldResult>(r.value).yield;
     });
   }
   for (auto& th : threads) th.join();
