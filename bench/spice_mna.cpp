@@ -169,6 +169,9 @@ int main(int argc, char** argv) {
   mo.chips = smoke ? 4 : 8;
   mo.seed = 1000;
   mo.solver = spice::LinearSolverKind::kSparse;
+  // Serial, like the dense/sparse reference above: the warm-start speedup
+  // is measured on one thread, not mixed with the per-code parallelism.
+  mo.threads = 1;
 
   std::printf("\nSPICE mismatch MC (%d-bit, %d corners), warm start off vs "
               "on:\n",

@@ -7,10 +7,12 @@
 // a static transfer function, INL/DNL and output impedance measured on the
 // actual MNA netlist rather than the behavioral model.
 //
-// Practical note: the dense-matrix MNA solver handles the full 12-bit
-// converter (259 cells) but each DC solve is O(n^3); full-transfer sweeps
-// (2^n codes) are intended for reduced-resolution versions of the SAME
-// architecture (e.g. 6 bit), which is how the cross-validation tests use it.
+// Practical note: one DC solve of the full 12-bit converter (259 cells)
+// takes milliseconds on the sparse MNA engine (min-degree LU with symbolic
+// reuse; kAuto picks it at >= 64 unknowns), but a full-transfer sweep is
+// 2^n solves, so sweeps are intended for reduced-resolution versions of
+// the SAME architecture (6-8 bit), which is how the cross-validation tests
+// and dacgen::spice_mismatch_mc use it.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "dac/static_analysis.hpp"
@@ -36,7 +37,8 @@ struct SpiceMcMetrics {
 SpiceMcResult spice_mismatch_mc(const core::DacSpec& spec,
                                 const core::SizedCell& cell,
                                 const tech::MosTechParams& tech,
-                                const SpiceMcOptions& opts) {
+                                const SpiceMcOptions& opts,
+                                mathx::RunStats* run_stats) {
   if (opts.chips < 1) throw std::invalid_argument("spice_mc: chips < 1");
   if (!(opts.sigma_scale >= 0.0)) {
     throw std::invalid_argument("spice_mc: sigma_scale < 0");
@@ -52,25 +54,31 @@ SpiceMcResult spice_mismatch_mc(const core::DacSpec& spec,
   const double v_term = spec.v_out_min + spec.v_swing;
 
   // Per-code state, built ONCE: the netlist, its solver context (pattern +
-  // symbolic factors survive the whole corner sweep) and the warm-start
-  // operating point. The per-code device sequences are identical by
-  // construction, so one set of per-device draws applies to every code.
+  // symbolic factors survive the whole corner sweep), the warm-start
+  // operating point and the code's own solver counters. The per-code
+  // device sequences are identical by construction, so one set of
+  // per-device draws applies to every code.
   struct CodeState {
     TransistorLevelDac::BuiltCircuit bc;
     spice::SolverContext ctx;
     std::vector<spice::Mosfet*> mosfets;
     std::vector<double> x_prev;
+    spice::SolveStats stats;
   };
+  // Each code is a chain along the corner axis; the pool runs the codes of
+  // one corner side by side, a chunk of codes per claim.
+  constexpr std::int64_t kCodeChunk = 8;
+  mathx::ThreadPool pool(mathx::clamp_threads_to_items(opts.threads, n_codes));
   std::vector<CodeState> codes(static_cast<std::size_t>(n_codes));
-  for (int c = 0; c < n_codes; ++c) {
+  pool.for_each(0, n_codes, [&](std::int64_t c) {
     CodeState& cs = codes[static_cast<std::size_t>(c)];
-    cs.bc = dac.build(c);
+    cs.bc = dac.build(static_cast<int>(c));
     for (const auto& dev : cs.bc.circuit->devices()) {
       if (auto* m = dynamic_cast<spice::Mosfet*>(dev.get())) {
         cs.mosfets.push_back(m);
       }
     }
-  }
+  }, kCodeChunk);
   const std::size_t n_devices = codes[0].mosfets.size();
   // Per-device Pelgrom sigmas from the geometry (same for every code).
   std::vector<double> sigma_vt(n_devices), sigma_beta(n_devices);
@@ -82,7 +90,6 @@ SpiceMcResult spice_mismatch_mc(const core::DacSpec& spec,
     sigma_beta[i] = opts.sigma_scale * tech.a_beta / root;
   }
 
-  spice::SolveStats stats;
   SpiceMcResult res;
   std::vector<double> levels(static_cast<std::size_t>(n_codes));
   std::vector<double> dvt(n_devices), bscale(n_devices);
@@ -97,24 +104,22 @@ SpiceMcResult spice_mismatch_mc(const core::DacSpec& spec,
       dvt[i] = sigma_vt[i] * mathx::normal(rng);
       bscale[i] = 1.0 + sigma_beta[i] * mathx::normal(rng);
     }
-    for (auto& cs : codes) {
+
+    pool.for_each(0, n_codes, [&](std::int64_t c) {
+      CodeState& cs = codes[static_cast<std::size_t>(c)];
       for (std::size_t i = 0; i < n_devices; ++i) {
         cs.mosfets[i]->set_mismatch(dvt[i], bscale[i]);
       }
-    }
-
-    for (int c = 0; c < n_codes; ++c) {
-      CodeState& cs = codes[static_cast<std::size_t>(c)];
       spice::NewtonOptions nopts;
       nopts.solver = opts.solver;
       nopts.context = &cs.ctx;
-      nopts.stats = &stats;
+      nopts.stats = &cs.stats;
       if (opts.warm_start && !cs.x_prev.empty()) nopts.x0 = &cs.x_prev;
       const spice::Solution sol = spice::solve_dc(*cs.bc.circuit, nopts);
       cs.x_prev = sol.x;
       const double i_out = (v_term - sol.v(cs.bc.out_p)) / spec.r_load;
       levels[static_cast<std::size_t>(c)] = i_out / spec.i_lsb();
-    }
+    }, kCodeChunk);
 
     dac::detail::count_chip_eval();
     const dac::StaticSummary s = dac::analyze_levels_summary(
@@ -125,19 +130,33 @@ SpiceMcResult spice_mismatch_mc(const core::DacSpec& spec,
     if (s.inl_max > res.inl_worst) res.inl_worst = s.inl_max;
   }
 
+  // Integer sums: independent of the order the codes ran in.
+  for (const CodeState& cs : codes) {
+    res.newton_iters += cs.stats.newton_iters;
+    res.factorizations += cs.stats.factorizations;
+    res.refactorizations += cs.stats.refactorizations;
+    res.warm_starts += cs.stats.warm_starts;
+    res.warm_start_hits += cs.stats.warm_start_hits;
+    res.device_evals += cs.stats.device_evals;
+  }
+  // Moving a code's state out frees its netlist and factors on the pool
+  // rather than in the vector's serial destructor.
+  pool.for_each(0, n_codes, [&](std::int64_t c) {
+    [[maybe_unused]] const CodeState released =
+        std::move(codes[static_cast<std::size_t>(c)]);
+  }, kCodeChunk);
+
   res.yield = static_cast<double>(res.pass) / static_cast<double>(res.chips);
   res.ci95 = mathx::wilson_half_width(res.pass, res.chips);
   res.inl_mean /= static_cast<double>(res.chips);
-  res.newton_iters = stats.newton_iters;
-  res.factorizations = stats.factorizations;
-  res.refactorizations = stats.refactorizations;
-  res.warm_starts = stats.warm_starts;
-  res.warm_start_hits = stats.warm_start_hits;
-  res.device_evals = stats.device_evals;
   res.warm_start_hit_rate =
-      stats.warm_starts > 0 ? static_cast<double>(stats.warm_start_hits) /
-                                  static_cast<double>(stats.warm_starts)
-                            : 0.0;
+      res.warm_starts > 0 ? static_cast<double>(res.warm_start_hits) /
+                                static_cast<double>(res.warm_starts)
+                          : 0.0;
+  if (run_stats) {
+    run_stats->evaluated = res.chips;
+    run_stats->threads = pool.threads();
+  }
 
   SpiceMcMetrics& m = SpiceMcMetrics::get();
   m.mc_runs.add(1);

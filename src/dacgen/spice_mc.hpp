@@ -10,12 +10,21 @@
 // symbolic factorization from corner 0 is replayed numerically at every
 // later corner, and each code's Newton solve warm-starts from the same
 // code's operating point at the previous corner.
+//
+// Codes in parallel, corners in sequence, per-code chains: the two
+// sequential dependencies (symbolic reuse, warm starts) both run along the
+// corner axis of ONE code, and a code's solve reads nothing of another
+// code. So within a corner the 2^n solves run on a thread pool, each code
+// writing only its own level and solver counters; the corner draws and
+// the INL judgement stay on the calling thread. The result is
+// bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
 
 #include "core/sizer.hpp"
 #include "core/spec.hpp"
+#include "mathx/parallel.hpp"
 #include "spice/solver.hpp"
 #include "tech/tech.hpp"
 
@@ -32,6 +41,10 @@ struct SpiceMcOptions {
   /// cached results stay reproducible.
   spice::LinearSolverKind solver = spice::LinearSolverKind::kAuto;
   bool warm_start = true;
+  /// Engine threads for the per-code solves: 0 = all hardware threads
+  /// (the result does not depend on the count, so the default takes
+  /// them); a caller with its own budget, like the runtime job, passes it.
+  int threads = 0;
 };
 
 struct SpiceMcResult {
@@ -52,11 +65,15 @@ struct SpiceMcResult {
 };
 
 /// Runs the netlist-level mismatch MC for a sized cell. Deterministic for
-/// fixed inputs (serial corner loop, (seed, corner) device streams), so
-/// the result is cacheable by the runtime layer.
+/// fixed inputs and any thread count (codes in parallel, corners in
+/// sequence, (seed, corner) device streams), so the result is cacheable by
+/// the runtime layer. `run_stats`, when given, receives the corners run
+/// and the worker count used. A ConvergenceError reaches the caller as the
+/// lowest failing code's, as in a serial sweep.
 SpiceMcResult spice_mismatch_mc(const core::DacSpec& spec,
                                 const core::SizedCell& cell,
                                 const tech::MosTechParams& tech,
-                                const SpiceMcOptions& opts = {});
+                                const SpiceMcOptions& opts = {},
+                                mathx::RunStats* run_stats = nullptr);
 
 }  // namespace csdac::dacgen

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "mathx/alloc_counter.hpp"
 #include "obs/metrics.hpp"
@@ -94,11 +95,23 @@ void ThreadPool::worker_loop(int worker) {
 }
 
 void ThreadPool::work(int worker) {
-  for (;;) {
+  while (!failed_.load(std::memory_order_relaxed)) {
     const std::int64_t lo = next_.fetch_add(chunk_);
     if (lo >= end_) return;
     const std::int64_t hi = std::min(lo + chunk_, end_);
-    for (std::int64_t i = lo; i < hi; ++i) (*fn_)(worker, i);
+    for (std::int64_t i = lo; i < hi; ++i) {
+      try {
+        (*fn_)(worker, i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!error_ || i < error_index_) {
+          error_ = std::current_exception();
+          error_index_ = i;
+        }
+        failed_.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
   }
 }
 
@@ -127,6 +140,8 @@ void ThreadPool::for_each_indexed(
     end_ = end;
     chunk_ = chunk;
     fn_ = &fn;
+    failed_.store(false, std::memory_order_relaxed);
+    error_ = nullptr;
     busy_ = static_cast<int>(workers_.size());
     span_parent_ = obs::Tracer::current_span_id();
     ++generation_;
@@ -140,6 +155,7 @@ void ThreadPool::for_each_indexed(
   std::unique_lock<std::mutex> lock(mutex_);
   cv_done_.wait(lock, [&] { return busy_ == 0; });
   fn_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 namespace {

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -81,6 +82,13 @@ struct RunStats {
 /// indices to threads is racy by design; a deterministic overall result only
 /// requires fn(i) to depend on nothing but i (write to slot i, derive
 /// randomness from (seed, i)).
+///
+/// Exceptions: a throw from fn(i) on any worker stops new chunks from being
+/// claimed; the other workers finish the chunks they hold, and once every
+/// worker is idle the call rethrows on the caller the exception of the
+/// LOWEST failing index. Chunks are claimed in increasing index order, so
+/// every lower index has run by then: the caller sees the same error the
+/// serial loop would have thrown first, and the pool stays usable.
 class ThreadPool {
  public:
   explicit ThreadPool(int threads = 0);
@@ -93,7 +101,8 @@ class ThreadPool {
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Runs fn(i) for every i in [begin, end); blocks until done. Threads
-  /// claim `chunk` consecutive indices at a time (chunk >= 1).
+  /// claim `chunk` consecutive indices at a time (chunk >= 1). Rethrows the
+  /// lowest failing index's exception (see the class comment).
   void for_each(std::int64_t begin, std::int64_t end,
                 const std::function<void(std::int64_t)>& fn,
                 std::int64_t chunk = 1);
@@ -123,6 +132,11 @@ class ThreadPool {
   std::int64_t end_ = 0;
   std::int64_t chunk_ = 1;
   const std::function<void(int, std::int64_t)>* fn_ = nullptr;
+  /// Set by the first throw; stops further chunk claims.
+  std::atomic<bool> failed_{false};
+  /// Lowest failing index and its exception (guarded by mutex_).
+  std::exception_ptr error_;
+  std::int64_t error_index_ = 0;
   /// Span id the dispatching thread had open when it launched the current
   /// job; worker spans nest under it (0 = tracing off or no open span).
   std::uint64_t span_parent_ = 0;

@@ -921,10 +921,6 @@ JobValue run_arch_compare(const ArchCompareJob& j, int threads,
 
 JobValue run_spice_mc(const SpiceMcJob& j, int threads,
                       mathx::RunStats* stats) {
-  // Serial by design: the per-code symbolic-factorization reuse and
-  // corner-to-corner warm starts are inherently sequential, and the result
-  // must not depend on the thread count anyway.
-  (void)threads;
   j.spec.validate();
   if (j.chips < 1) throw std::invalid_argument("spice_mc job: chips < 1");
   if (!std::isfinite(j.sigma_scale) || j.sigma_scale < 0.0) {
@@ -941,12 +937,8 @@ JobValue run_spice_mc(const SpiceMcJob& j, int threads,
   o.sigma_scale = j.sigma_scale;
   o.differential = j.differential;
   o.with_caps = j.with_caps;
-  const SpiceMcResult r = dacgen::spice_mismatch_mc(j.spec, cell, j.tech, o);
-  if (stats) {
-    stats->evaluated = r.chips;
-    stats->threads = 1;
-  }
-  return r;
+  o.threads = threads;
+  return dacgen::spice_mismatch_mc(j.spec, cell, j.tech, o, stats);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mathx/rng.hpp"
@@ -51,6 +53,29 @@ TEST(Parallel, PoolIsReusableAcrossJobs) {
   }
   EXPECT_EQ(sum.load(), 20 * (99 * 100 / 2));
   pool.for_each(5, 5, [](std::int64_t) { FAIL(); });  // empty range is a no-op
+}
+
+TEST(Parallel, ThrowReachesCallerAsLowestFailingIndexAndPoolSurvives) {
+  for (int threads : {1, 2, 7}) {
+    ThreadPool pool(threads);
+    try {
+      pool.for_each(0, 100, [](std::int64_t i) {
+        if (i == 37 || i == 80) {
+          throw std::runtime_error("item " + std::to_string(i));
+        }
+      }, /*chunk=*/3);
+      FAIL() << "expected a throw at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 37") << threads << " threads";
+    }
+    // Same pool, next job: every index runs exactly once.
+    std::vector<std::atomic<int>> visits(64);
+    for (auto& v : visits) v.store(0);
+    pool.for_each(0, 64, [&](std::int64_t i) {
+      visits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1) << threads;
+  }
 }
 
 TEST(Parallel, MapOutputIsIndexOrderedForAnyThreadCount) {

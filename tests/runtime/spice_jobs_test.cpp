@@ -1,8 +1,9 @@
 // Runtime + serve integration of the SPICE-in-the-loop mismatch MC job:
 // cache-key discipline (every result-determining field feeds the key),
 // codec round trips, equivalence with the direct dacgen runner, a warm
-// cache pass that solves zero MNA systems, and the request-parser ceilings
-// that keep hostile spice_mc requests from sizing transistor-level loops.
+// cache pass that solves zero MNA systems, bit-identical results for any
+// engine thread count, and the request-parser ceilings that keep hostile
+// spice_mc requests from sizing transistor-level loops.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include "core/sizer.hpp"
 #include "dac/static_analysis.hpp"
 #include "dacgen/spice_mc.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
 #include "serve/request.hpp"
 #include "tech/tech.hpp"
@@ -47,6 +49,24 @@ SpiceMcJob small_job() {
   j.seed = 11;
   j.limit = 0.5;
   return j;
+}
+
+/// Every field of two results, bit for bit.
+void expect_same_result(const SpiceMcResult& a, const SpiceMcResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.chips, b.chips) << what;
+  EXPECT_EQ(a.pass, b.pass) << what;
+  EXPECT_EQ(a.yield, b.yield) << what;
+  EXPECT_EQ(a.ci95, b.ci95) << what;
+  EXPECT_EQ(a.inl_mean, b.inl_mean) << what;
+  EXPECT_EQ(a.inl_worst, b.inl_worst) << what;
+  EXPECT_EQ(a.newton_iters, b.newton_iters) << what;
+  EXPECT_EQ(a.factorizations, b.factorizations) << what;
+  EXPECT_EQ(a.refactorizations, b.refactorizations) << what;
+  EXPECT_EQ(a.warm_starts, b.warm_starts) << what;
+  EXPECT_EQ(a.warm_start_hits, b.warm_start_hits) << what;
+  EXPECT_EQ(a.device_evals, b.device_evals) << what;
+  EXPECT_EQ(a.warm_start_hit_rate, b.warm_start_hit_rate) << what;
 }
 
 TEST(SpiceJobKey, EveryFieldChangesTheKey) {
@@ -102,21 +122,8 @@ TEST(SpiceJobs, ResultCodecRoundTripsAndRejectsTrailing) {
     mathx::ByteReader r(w.data());
     JobValue out;
     ASSERT_TRUE(decode_value(JobKind::kSpiceMc, r, out));
-    const auto& a = std::get<SpiceMcResult>(v);
-    const auto& b = std::get<SpiceMcResult>(out);
-    EXPECT_EQ(b.chips, a.chips);
-    EXPECT_EQ(b.pass, a.pass);
-    EXPECT_EQ(b.yield, a.yield);
-    EXPECT_EQ(b.ci95, a.ci95);
-    EXPECT_EQ(b.inl_mean, a.inl_mean);
-    EXPECT_EQ(b.inl_worst, a.inl_worst);
-    EXPECT_EQ(b.newton_iters, a.newton_iters);
-    EXPECT_EQ(b.factorizations, a.factorizations);
-    EXPECT_EQ(b.refactorizations, a.refactorizations);
-    EXPECT_EQ(b.warm_starts, a.warm_starts);
-    EXPECT_EQ(b.warm_start_hits, a.warm_start_hits);
-    EXPECT_EQ(b.device_evals, a.device_evals);
-    EXPECT_EQ(b.warm_start_hit_rate, a.warm_start_hit_rate);
+    expect_same_result(std::get<SpiceMcResult>(out),
+                       std::get<SpiceMcResult>(v), "codec round trip");
   }
   {
     auto bytes = w.data();
@@ -195,6 +202,59 @@ TEST(SpiceJobs, WarmStartPaysOffAcrossCorners) {
   // the spice equivalence suite).
   EXPECT_EQ(r.factorizations, 0);
   EXPECT_EQ(r.refactorizations, 0);
+}
+
+// --- Thread-count invariance ------------------------------------------------
+
+TEST(SpiceMcThreads, SparseMcIsBitIdenticalForAnyThreadCount) {
+  // The codes of a corner run in parallel; each code's factor reuse and
+  // warm start chain along the corners, so no number may move.
+  core::DacSpec spec;
+  spec.nbits = 6;
+  spec.binary_bits = 2;
+  const auto tech = tech::generic_035um().nmos;
+  const core::SizedCell cell =
+      core::CellSizer(tech, spec).size_cascode(0.25, 0.2, 0.2);
+  dacgen::SpiceMcOptions o;
+  o.chips = 3;
+  o.seed = 11;
+  o.solver = spice::LinearSolverKind::kSparse;
+  obs::Counter& newton = obs::Registry::global().counter("spice.newton_iters");
+  obs::Counter& evals = obs::Registry::global().counter("spice.device_evals");
+
+  SpiceMcResult ref;
+  for (const int threads : {1, 2, 7}) {
+    o.threads = threads;
+    const std::int64_t newton0 = newton.value();
+    const std::int64_t evals0 = evals.value();
+    mathx::RunStats rs;
+    const SpiceMcResult r =
+        dacgen::spice_mismatch_mc(spec, cell, tech, o, &rs);
+    const std::string what = std::to_string(threads) + " threads";
+    EXPECT_EQ(rs.threads, threads) << what;
+    EXPECT_EQ(rs.evaluated, 3) << what;
+    // The global counters see exactly the work the result reports.
+    EXPECT_EQ(newton.value() - newton0, r.newton_iters) << what;
+    EXPECT_EQ(evals.value() - evals0, r.device_evals) << what;
+    if (threads == 1) {
+      ref = r;
+      EXPECT_GT(ref.refactorizations, 0) << "sparse path must be taken";
+      EXPECT_GT(ref.warm_start_hits, 0);
+      continue;
+    }
+    expect_same_result(r, ref, what);
+  }
+}
+
+TEST(SpiceMcThreads, RuntimeJobIsThreadCountInvariantAndReportsWorkers) {
+  mathx::RunStats one, four;
+  const JobValue a = execute_job(small_job(), 1, &one);
+  const JobValue b = execute_job(small_job(), 4, &four);
+  expect_same_result(std::get<SpiceMcResult>(b), std::get<SpiceMcResult>(a),
+                     "4 vs 1 threads");
+  EXPECT_EQ(one.threads, 1);
+  EXPECT_EQ(four.threads, 4) << "the job's budget reaches the engine";
+  EXPECT_EQ(four.evaluated, small_job().chips);
 }
 
 // --- Serve-layer parsing ---------------------------------------------------

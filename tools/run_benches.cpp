@@ -860,6 +860,7 @@ int main(int argc, char** argv) {
     dacgen::SpiceMcOptions mo;
     mo.chips = smoke ? 4 : 8;
     mo.seed = seed;
+    mo.threads = threads;
     std::printf("spice_mc_warmstart: %d-bit, %d corners, warm start off vs "
                 "on ...\n",
                 mc_spec.nbits, static_cast<int>(mo.chips));
