@@ -1,5 +1,5 @@
-// Minimal JSON writer for the machine-readable bench harness and the
-// design service (tools/run_benches → BENCH_mc.json, tools/csdac_serve).
+// Minimal JSON writer for the design service and its load generator
+// (tools/csdac_serve, tools/csdac_loadgen).
 // Explicit begin/end calls, insertion-ordered keys, no DOM: just enough to
 // emit the csdac-bench/csdac-serve schemas documented in EXPERIMENTS.md.
 // String escaping is the shared obs escaper; numbers are written with

@@ -90,8 +90,7 @@ int main() {
   }
 
   std::printf("\nWorkspace kernel vs legacy allocating chain (same chips,\n"
-              "bit-identical yields — see tools/run_benches for the JSON\n"
-              "version of this measurement):\n\n");
+              "bit-identical yields, enforced by the unit tests):\n\n");
   print_row({"path", "yield", "chips/s", "wall [ms]"});
   {
     const int cmp_chips = 1000;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/accuracy.hpp"
 #include "dac/static_analysis.hpp"
@@ -112,19 +113,28 @@ TEST(Calibration, WorkspaceKernelBitIdenticalToLegacyAcrossThreads) {
   // The workspace MC kernel reuses ONE generator for both per-chip streams
   // (mismatch draw, then calibration noise); re-seeding via stream_rng_into
   // must make that indistinguishable from the legacy two-generator chain.
+  // Checked with measurement noise on (both streams in use) and with the
+  // default options at 150 chips, seed 1000.
   const auto spec = spec12();
   const double sigma = 4.0 * core::unit_sigma_spec(spec.nbits, 0.997);
-  CalibrationOptions opts;
-  opts.measure_noise_lsb = 0.05;  // exercise the second RNG stream too
-  for (int threads : {1, 2, 7}) {
-    const auto ws =
-        calibration_yield_mc(spec, sigma, opts, 120, 77, 0.5, threads);
-    const auto legacy =
-        calibration_yield_mc_legacy(spec, sigma, opts, 120, 77, 0.5, threads);
-    EXPECT_DOUBLE_EQ(ws.yield_before, legacy.yield_before)
-        << "threads " << threads;
-    EXPECT_DOUBLE_EQ(ws.yield_after, legacy.yield_after)
-        << "threads " << threads;
+  CalibrationOptions noisy;
+  noisy.measure_noise_lsb = 0.05;
+  const struct {
+    CalibrationOptions opts;
+    int chips;
+    std::uint64_t seed;
+  } kCases[] = {{noisy, 120, 77}, {CalibrationOptions{}, 150, 1000}};
+  for (const auto& c : kCases) {
+    for (int threads : {1, 2, 7}) {
+      const auto ws = calibration_yield_mc(spec, sigma, c.opts, c.chips,
+                                           c.seed, 0.5, threads);
+      const auto legacy = calibration_yield_mc_legacy(
+          spec, sigma, c.opts, c.chips, c.seed, 0.5, threads);
+      EXPECT_DOUBLE_EQ(ws.yield_before, legacy.yield_before)
+          << "seed " << c.seed << ", threads " << threads;
+      EXPECT_DOUBLE_EQ(ws.yield_after, legacy.yield_after)
+          << "seed " << c.seed << ", threads " << threads;
+    }
   }
 }
 

@@ -6,7 +6,8 @@
 //    brute-force run (unbiasedness, not luck: every budget is fixed-seed);
 //  * variance — at the deep-tail operating point the antithetic pairs
 //    must beat plain MC variance on the same budget, measured across 40
-//    fixed-seed replicates;
+//    fixed-seed replicates, and importance sampling must need >= 50x
+//    fewer chips than brute force at the 12-bit 99.99 %-yield tail;
 //  * diagnostics — a deliberately over-inflated proposal must trip the
 //    low-ESS flag, the production tilt must not;
 //  * determinism — bit-identical results for thread counts {1, 2, 7} and
@@ -177,6 +178,32 @@ TEST(RareVariance, AntitheticBeatsPlainMcOnTheSameBudget) {
   EXPECT_GT(var_mc, 0.0);
   EXPECT_LE(var_strat, var_mc)
       << "antithetic variance " << var_strat << " vs plain MC " << var_mc;
+}
+
+// At the paper's 12-bit array with sigma calibrated from the bridge
+// surrogate to a 99.99 % yield (failure rate ~1e-4 by construction), the
+// production tilt must see the tail, agree with the surrogate, and need
+// >= 50x fewer chips than brute force for the same CI. Brute force needs
+// no run: its per-chip variance is the Bernoulli p(1 - p).
+TEST(RareVariance, ImportanceSamplingCutsTailChipsFiftyfold) {
+  const core::DacSpec spec;  // 12-bit, b = 4
+  const double sigma =
+      0.5 / (mathx::kolmogorov_quantile(0.9999) *
+             std::sqrt(spec.unary_weight() *
+                       static_cast<double>(spec.num_unary())));
+  const auto is = inl_yield_is(spec, sigma, 2.2, 8, 4000, 7, 0.5,
+                               InlReference::kEndpoint, 2);
+  const auto bridge = inl_yield_bridge(spec, sigma, 0.5);
+  EXPECT_GT(is.fails, 0) << "the tilt saw no tail";
+  EXPECT_FALSE(is.low_ess);
+  const double p = 1.0 - is.yield;
+  ASSERT_GT(p, 0.0);
+  EXPECT_LE(std::fabs(p - (1.0 - bridge.yield)), 10.0 * is.ci95 + 2e-5)
+      << "IS " << p << " vs bridge " << 1.0 - bridge.yield;
+  const double z95 = 1.959963984540054;
+  const double var_is =
+      (is.ci95 / z95) * (is.ci95 / z95) * static_cast<double>(is.chips);
+  EXPECT_GE(p * (1.0 - p) / var_is, 50.0);
 }
 
 // The ESS diagnostics exist to catch the classic high-dimension IS

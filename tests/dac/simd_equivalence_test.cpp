@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/accuracy.hpp"
 #include "core/spec.hpp"
 #include "dac/calibration.hpp"
 #include "dac/lane_kernel.hpp"
@@ -263,6 +264,29 @@ TEST_F(SimdYieldEquivalence, CalibrationYield) {
         v.push_back(y.yield_after);
         v.push_back(y.chips);
       }
+    }
+    return v;
+  });
+}
+
+TEST_F(SimdYieldEquivalence, PaperDesignPoint) {
+  // The paper's 12-bit, b = 4 array at its spec sigma: INL yield over 300
+  // chips and calibration yield (4x the sigma, default trims) over 150.
+  const core::DacSpec paper;
+  const double sigma = core::unit_sigma_spec(paper.nbits, paper.inl_yield);
+  expect_backends_match([&] {
+    std::vector<double> v;
+    for (int threads : kThreadCounts) {
+      const auto inl = inl_yield_mc(paper, sigma, 300, 1000, 0.5,
+                                    InlReference::kBestFit, threads);
+      v.push_back(inl.yield);
+      v.push_back(inl.pass);
+      v.push_back(inl.ci95);
+      const auto cal = calibration_yield_mc(paper, 4.0 * sigma,
+                                            CalibrationOptions{}, 150, 1000,
+                                            0.5, threads);
+      v.push_back(cal.yield_before);
+      v.push_back(cal.yield_after);
     }
     return v;
   });

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/accuracy.hpp"
 #include "mathx/rng.hpp"
@@ -360,25 +362,33 @@ TEST(StaticAnalysis, Ci95IsWilsonAtYieldZero) {
 TEST(StaticAnalysis, WorkspaceYieldBitIdenticalToLegacyAcrossThreads) {
   // The tentpole contract: the allocation-free workspace kernel and the
   // historical allocating chain must produce the same pass count, yield,
-  // and CI for every thread count.
-  core::DacSpec spec;
-  spec.nbits = 8;
-  spec.binary_bits = 3;
-  const double sigma = 2.0 * core::unit_sigma_spec(spec.nbits, 0.9);
-  for (int threads : {1, 2, 7}) {
-    const auto ws = inl_yield_mc(spec, sigma, 250, 23, 0.5,
-                                 InlReference::kBestFit, threads);
-    const auto legacy = inl_yield_mc_legacy(spec, sigma, 250, 23, 0.5,
-                                            InlReference::kBestFit, threads);
-    EXPECT_EQ(ws.pass, legacy.pass) << "threads " << threads;
-    EXPECT_DOUBLE_EQ(ws.yield, legacy.yield) << "threads " << threads;
-    EXPECT_DOUBLE_EQ(ws.ci95, legacy.ci95) << "threads " << threads;
+  // and CI for every thread count. Checked on an 8-bit array and on the
+  // paper's 12-bit, b = 4 design point at its spec sigma.
+  const auto check = [](const core::DacSpec& spec, double sigma, int chips,
+                        std::uint64_t seed) {
+    for (int threads : {1, 2, 7}) {
+      const std::string what = std::to_string(spec.nbits) + "-bit, threads " +
+                               std::to_string(threads);
+      const auto ws = inl_yield_mc(spec, sigma, chips, seed, 0.5,
+                                   InlReference::kBestFit, threads);
+      const auto legacy = inl_yield_mc_legacy(
+          spec, sigma, chips, seed, 0.5, InlReference::kBestFit, threads);
+      EXPECT_EQ(ws.pass, legacy.pass) << what;
+      EXPECT_DOUBLE_EQ(ws.yield, legacy.yield) << what;
+      EXPECT_DOUBLE_EQ(ws.ci95, legacy.ci95) << what;
 
-    const auto ws_dnl = dnl_yield_mc(spec, sigma, 250, 23, 0.5, threads);
-    const auto legacy_dnl =
-        dnl_yield_mc_legacy(spec, sigma, 250, 23, 0.5, threads);
-    EXPECT_EQ(ws_dnl.pass, legacy_dnl.pass) << "threads " << threads;
-  }
+      const auto ws_dnl = dnl_yield_mc(spec, sigma, chips, seed, 0.5, threads);
+      const auto legacy_dnl =
+          dnl_yield_mc_legacy(spec, sigma, chips, seed, 0.5, threads);
+      EXPECT_EQ(ws_dnl.pass, legacy_dnl.pass) << what;
+    }
+  };
+  core::DacSpec spec8;
+  spec8.nbits = 8;
+  spec8.binary_bits = 3;
+  check(spec8, 2.0 * core::unit_sigma_spec(spec8.nbits, 0.9), 250, 23);
+  const core::DacSpec paper;  // 12-bit, b = 4
+  check(paper, core::unit_sigma_spec(paper.nbits, paper.inl_yield), 300, 1000);
 }
 
 TEST(StaticAnalysis, WorkspaceYieldMatchesEndpointReferenceToo) {

@@ -213,16 +213,27 @@ TEST(ResultRoundTrip, CachedSweepBitIdenticalEveryField) {
 }
 
 TEST(ResultRoundTrip, WarmRunDoesZeroChipEvaluations) {
-  ScratchDir dir("warm-zero");
-  JobExecutor exec(disk_only(dir.str()));
-  (void)run_on(exec, small_inl_job(), 0);
+  CalYieldJob cal;
+  cal.sigma_unit = 4.0 * core::unit_sigma_spec(cal.spec.nbits,
+                                               cal.spec.inl_yield);
+  cal.chips = 40;
+  cal.seed = 1234;
+  for (const Job& job : {Job{small_inl_job()}, Job{cal}}) {
+    const std::string what(kind_name(job_kind(job)));
+    ScratchDir dir("warm-zero");
+    JobExecutor exec(disk_only(dir.str()));
+    const std::int64_t cold0 = dac::mc_chips_evaluated();
+    EXPECT_FALSE(run_on(exec, job, 0).cache_hit()) << what;
+    EXPECT_GT(dac::mc_chips_evaluated() - cold0, 0) << what << " counts chips";
 
-  const std::int64_t before = dac::mc_chips_evaluated();
-  const ExecResult warm = run_on(exec, small_inl_job(), 0);
-  EXPECT_TRUE(warm.cache_hit());
-  EXPECT_EQ(dac::mc_chips_evaluated() - before, 0);
-  EXPECT_EQ(warm.stats.cache_hits, 1);
-  EXPECT_EQ(warm.stats.evaluated, 0);
+    const std::int64_t before = dac::mc_chips_evaluated();
+    const ExecResult warm = run_on(exec, job, 0);
+    EXPECT_TRUE(warm.cache_hit()) << what;
+    EXPECT_EQ(dac::mc_chips_evaluated() - before, 0) << what;
+    EXPECT_EQ(warm.stats.cache_hits, 1) << what;
+    EXPECT_EQ(warm.stats.cache_misses, 0) << what;
+    EXPECT_EQ(warm.stats.evaluated, 0) << what;
+  }
 }
 
 // --- Runtime jobs match direct engine calls --------------------------------

@@ -204,6 +204,38 @@ TEST(SpiceJobs, WarmStartPaysOffAcrossCorners) {
   EXPECT_EQ(r.refactorizations, 0);
 }
 
+TEST(SpiceJobs, WarmStartKeepsTheVerdictAndCutsNewtonIterations) {
+  // A 5-bit array over 4 corners on one thread, on either solver:
+  // starting each code from the previous corner's operating point must
+  // leave pass count and yield alone and take fewer Newton iterations.
+  core::DacSpec spec;
+  spec.nbits = 5;
+  spec.binary_bits = 2;
+  const auto tech = tech::generic_035um().nmos;
+  const core::SizedCell cell =
+      core::CellSizer(tech, spec).size_cascode(0.25, 0.2, 0.2);
+  for (const auto solver :
+       {spice::LinearSolverKind::kDense, spice::LinearSolverKind::kSparse}) {
+    const bool sparse = solver == spice::LinearSolverKind::kSparse;
+    const char* what = sparse ? "sparse" : "dense";
+    dacgen::SpiceMcOptions o;
+    o.chips = 4;
+    o.seed = 1000;
+    o.threads = 1;
+    o.solver = solver;
+    o.warm_start = false;
+    const SpiceMcResult cold = dacgen::spice_mismatch_mc(spec, cell, tech, o);
+    o.warm_start = true;
+    const SpiceMcResult warm = dacgen::spice_mismatch_mc(spec, cell, tech, o);
+    EXPECT_EQ(warm.refactorizations > 0, sparse) << what;
+    EXPECT_EQ(warm.pass, cold.pass) << what;
+    EXPECT_EQ(warm.yield, cold.yield) << what;
+    EXPECT_LT(warm.newton_iters, cold.newton_iters)
+        << what << ": warm " << warm.newton_iters << " vs cold "
+        << cold.newton_iters;
+  }
+}
+
 // --- Thread-count invariance ------------------------------------------------
 
 TEST(SpiceMcThreads, SparseMcIsBitIdenticalForAnyThreadCount) {

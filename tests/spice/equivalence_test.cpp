@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/sizer.hpp"
@@ -94,15 +95,18 @@ R1 y 0 100k
 
 // 6-bit transistor-level DAC at mid code: the realistic array-scale case
 // (enough unknowns to cross the kAuto threshold).
-dacgen::TransistorLevelDac::BuiltCircuit dac_circuit() {
+/// The transistor-level array at `code`; the default is a 6-bit array.
+dacgen::TransistorLevelDac::BuiltCircuit dac_circuit(int nbits = 6,
+                                                      int binary_bits = 2,
+                                                      int code = 31) {
   core::DacSpec spec;
-  spec.nbits = 6;
-  spec.binary_bits = 2;
+  spec.nbits = nbits;
+  spec.binary_bits = binary_bits;
   core::CellSizer sizer(generic_035um().nmos, spec);
   const core::SizedCell cell =
       sizer.size_cascode(0.25, 0.2, 0.2, core::MarginPolicy::kStatistical);
   dacgen::TransistorLevelDac dac(spec, cell, generic_035um().nmos);
-  return dac.build(31);
+  return dac.build(code);
 }
 
 struct NamedCircuit {
@@ -150,19 +154,24 @@ TEST(SparseDenseEquivalence, DcOnExampleCircuits) {
 }
 
 TEST(SparseDenseEquivalence, DcOnDacArray) {
-  auto a = dac_circuit();
-  auto b = dac_circuit();
-  SolveStats sd, ss;
-  const Solution dense =
-      solve_dc(*a.circuit, with_solver(LinearSolverKind::kDense, &sd));
-  const Solution sparse =
-      solve_dc(*b.circuit, with_solver(LinearSolverKind::kSparse, &ss));
-  ASSERT_EQ(dense.x.size(), sparse.x.size());
-  for (std::size_t i = 0; i < dense.x.size(); ++i) {
-    EXPECT_NEAR(dense.x[i], sparse.x[i], kTol) << "x[" << i << "]";
+  // A 6-bit array and the paper's full 12-bit, b = 4 array at mid-scale.
+  for (const auto& [nbits, binary_bits, code] :
+       {std::tuple{6, 2, 31}, std::tuple{12, 4, 2048}}) {
+    const std::string what = std::to_string(nbits) + "-bit";
+    auto a = dac_circuit(nbits, binary_bits, code);
+    auto b = dac_circuit(nbits, binary_bits, code);
+    SolveStats sd, ss;
+    const Solution dense =
+        solve_dc(*a.circuit, with_solver(LinearSolverKind::kDense, &sd));
+    const Solution sparse =
+        solve_dc(*b.circuit, with_solver(LinearSolverKind::kSparse, &ss));
+    ASSERT_EQ(dense.x.size(), sparse.x.size()) << what;
+    for (std::size_t i = 0; i < dense.x.size(); ++i) {
+      EXPECT_NEAR(dense.x[i], sparse.x[i], kTol) << what << " x[" << i << "]";
+    }
+    EXPECT_EQ(sd.newton_iters, ss.newton_iters) << what;
+    EXPECT_NEAR(dense.v(a.out_p), sparse.v(b.out_p), kTol) << what;
   }
-  EXPECT_EQ(sd.newton_iters, ss.newton_iters);
-  EXPECT_NEAR(dense.v(a.out_p), sparse.v(b.out_p), kTol);
 }
 
 // --- DC sweep --------------------------------------------------------------

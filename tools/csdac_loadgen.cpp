@@ -3,8 +3,8 @@
 // per-request latency (p50/p99) and saturation throughput, and verifying
 // that every client sees bit-identical results for the same question —
 // the server-side scheduler dedups and caches, but must never change an
-// answer. Emits a machine-readable csdac-bench/5 document (validated in
-// CI by tools/check_bench_json.py, serve-smoke job).
+// answer. Emits a machine-readable csdac-bench/5 document and checks it
+// itself (serve-smoke and trace-smoke CI jobs).
 //
 //   csdac_loadgen --port N [--host H] [--port-file PATH] [--clients C]
 //                 [--requests R] [--jobs-per-request J] [--unique K]
@@ -13,7 +13,9 @@
 // Client c's r-th request asks for jobs (c + r + j) % K of K unique
 // questions, so concurrent clients collide on the same keys constantly —
 // the worst (best) case for cross-request dedup. Exits nonzero on any
-// transport error, error frame, or cross-client result mismatch.
+// transport error, error frame, cross-client result mismatch or missing
+// request, and when the document's own numbers are inconsistent: a
+// throughput that is not positive or a p99 below the p50.
 //
 // Every request carries a "trace_id" (lg-<client>-<r>) the server must
 // echo; replies' per-job "stages" objects are aggregated into a
@@ -411,6 +413,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("wrote %s\n", o.out_path.c_str());
+  if (!(rps > 0.0) || p99 < p50) {
+    std::fprintf(stderr,
+                 "csdac_loadgen: inconsistent document (%.1f req/s, p50 %.0f "
+                 "us, p99 %.0f us)\n",
+                 rps, p50, p99);
+    return 1;
+  }
   return s.errors == 0 && s.mismatches == 0 &&
                  s.requests ==
                      static_cast<std::int64_t>(o.clients) * o.requests
