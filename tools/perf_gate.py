@@ -130,6 +130,7 @@ def main():
                         % (v.get("correct"), v.get("failed"),
                            r["stamp"]["steal_frac"])), flush=True)
             entry = {side: {"runs": rs} for side, rs in runs.items()}
+            doc["workloads"][name] = entry
             bad = [(side, r["seed"]) for side, rs in runs.items() for r in rs
                    if "error" in r or r["verdict"]["correct"] is not True
                    or r["verdict"]["failed"] > 0]
@@ -137,7 +138,6 @@ def main():
             if bad:
                 ok = False
                 print("%s: FAILED runs (side, seed): %s" % (name, bad))
-                doc["workloads"][name] = entry
                 continue
             entry["metrics"] = {}
             for spec in bench["end_to_end"]:
@@ -155,7 +155,6 @@ def main():
                          sh["median"], 100 * v["worse_frac"],
                          100 * spec["bound"], 100 * v["base_spread_frac"],
                          v["status"]))
-            doc["workloads"][name] = entry
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
 
