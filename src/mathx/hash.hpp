@@ -146,6 +146,9 @@ class ByteReader {
     return v;
   }
 
+  /// Latches ok() = false, for callers that find the bytes malformed
+  /// (e.g. a length the remaining bytes cannot hold).
+  void fail() { ok_ = false; }
   bool ok() const { return ok_; }
   std::size_t remaining() const { return size_ - pos_; }
   /// True when every byte was consumed and no read ran past the end.

@@ -1,6 +1,7 @@
 #include "runtime/job.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,274 +13,119 @@
 
 namespace csdac::runtime {
 
-std::string_view kind_name(JobKind kind) {
-  switch (kind) {
-    case JobKind::kInlYield: return "inl_yield";
-    case JobKind::kCalYield: return "cal_yield";
-    case JobKind::kSweepBasic: return "sweep_basic";
-    case JobKind::kSweepCascode: return "sweep_cascode";
-    case JobKind::kSpectrum: return "spectrum";
-    case JobKind::kInlYieldIs: return "inl_yield_is";
-    case JobKind::kInlYieldStrat: return "inl_yield_strat";
-    case JobKind::kInlYieldBridge: return "inl_yield_bridge";
-    case JobKind::kDynSpectrum: return "dyn_spectrum";
-    case JobKind::kArchCompare: return "arch_compare";
-    case JobKind::kSpiceMc: return "spice_mc";
-  }
-  return "unknown";
-}
-
-JobKind job_kind(const Job& job) {
-  return std::visit(
-      [](const auto& j) -> JobKind {
-        using T = std::decay_t<decltype(j)>;
-        if constexpr (std::is_same_v<T, InlYieldJob>) return JobKind::kInlYield;
-        if constexpr (std::is_same_v<T, CalYieldJob>) return JobKind::kCalYield;
-        if constexpr (std::is_same_v<T, SweepBasicJob>) {
-          return JobKind::kSweepBasic;
-        }
-        if constexpr (std::is_same_v<T, SweepCascodeJob>) {
-          return JobKind::kSweepCascode;
-        }
-        if constexpr (std::is_same_v<T, SpectrumJob>) return JobKind::kSpectrum;
-        if constexpr (std::is_same_v<T, InlYieldIsJob>) {
-          return JobKind::kInlYieldIs;
-        }
-        if constexpr (std::is_same_v<T, InlYieldStratJob>) {
-          return JobKind::kInlYieldStrat;
-        }
-        if constexpr (std::is_same_v<T, InlYieldBridgeJob>) {
-          return JobKind::kInlYieldBridge;
-        }
-        if constexpr (std::is_same_v<T, DynSpectrumJob>) {
-          return JobKind::kDynSpectrum;
-        }
-        if constexpr (std::is_same_v<T, ArchCompareJob>) {
-          return JobKind::kArchCompare;
-        }
-        if constexpr (std::is_same_v<T, SpiceMcJob>) {
-          return JobKind::kSpiceMc;
-        }
-      },
-      job);
-}
-
 namespace {
 
-// Canonical serialization of the shared parameter structs. Every
-// result-determining field, in declaration order, fixed width — adding a
-// field here (because it gained influence on results) is a key change for
-// every job that embeds the struct, which is exactly right.
+// The wire codec behind the cache key and the result payload: one put()
+// and one get() overload set, picking the wire type from the C++ type and
+// recursing through the field lists of job.hpp.
 
-void put(const core::DacSpec& s, mathx::ByteWriter& w) {
-  w.i32(s.nbits);
-  w.i32(s.binary_bits);
-  w.f64(s.vdd);
-  w.f64(s.v_swing);
-  w.f64(s.v_out_min);
-  w.f64(s.r_load);
-  w.f64(s.c_load);
-  w.f64(s.c_int);
-  w.f64(s.inl_yield);
-  w.f64(s.r_load_tol);
+template <class T>
+concept U8 = std::is_enum_v<T> || std::same_as<T, std::uint8_t>;
+
+void put(mathx::ByteWriter& w, bool v) { w.boolean(v); }
+void put(mathx::ByteWriter& w, std::int32_t v) { w.i32(v); }
+void put(mathx::ByteWriter& w, std::int64_t v) { w.i64(v); }
+void put(mathx::ByteWriter& w, std::uint64_t v) { w.u64(v); }
+void put(mathx::ByteWriter& w, double v) { w.f64(v); }
+template <U8 T>
+void put(mathx::ByteWriter& w, T v) {
+  w.u8(static_cast<std::uint8_t>(v));
+}
+template <HasFields T>
+void put(mathx::ByteWriter& w, const T& v);
+template <class E>
+void put(mathx::ByteWriter& w, const std::vector<E>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (const E& e : v) put(w, e);
+}
+template <HasFields T>
+void put(mathx::ByteWriter& w, const T& v) {
+  fields(v, [&w](const char*, const auto& x) { put(w, x); });
 }
 
-void put(const tech::MosTechParams& t, mathx::ByteWriter& w) {
-  w.u8(static_cast<std::uint8_t>(t.type));
-  w.f64(t.kp);
-  w.f64(t.vt0);
-  w.f64(t.lambda_l);
-  w.f64(t.gamma);
-  w.f64(t.phi_2f);
-  w.f64(t.cox);
-  w.f64(t.cgso);
-  w.f64(t.cgdo);
-  w.f64(t.cj);
-  w.f64(t.cjsw);
-  w.f64(t.l_diff);
-  w.f64(t.a_vt);
-  w.f64(t.a_beta);
-  w.f64(t.l_min);
-  w.f64(t.w_min);
+// get() reads what put() wrote; a short buffer latches the reader's
+// failure flag, which decode_value checks once at the end.
+void get(mathx::ByteReader& r, bool& v) { v = r.boolean(); }
+void get(mathx::ByteReader& r, std::int32_t& v) { v = r.i32(); }
+void get(mathx::ByteReader& r, std::int64_t& v) { v = r.i64(); }
+void get(mathx::ByteReader& r, double& v) { v = r.f64(); }
+template <U8 T>
+void get(mathx::ByteReader& r, T& v) {
+  v = static_cast<T>(r.u8());
+}
+template <HasFields T>
+void get(mathx::ByteReader& r, T& v);
+template <class E>
+void get(mathx::ByteReader& r, std::vector<E>& v) {
+  // Encoded bytes per element, from its field list: a count the remaining
+  // bytes cannot hold fails the read before anything is allocated.
+  static const std::size_t elem_bytes = [] {
+    mathx::ByteWriter w;
+    put(w, E{});
+    return w.size();
+  }();
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining() / elem_bytes) {
+    r.fail();
+    return;
+  }
+  v.resize(n);
+  for (E& e : v) get(r, e);
+}
+template <HasFields T>
+void get(mathx::ByteReader& r, T& v) {
+  fields(v, [&r](const char*, auto& x) { get(r, x); });
 }
 
-void put(const core::GridAxis& a, mathx::ByteWriter& w) {
-  w.f64(a.lo);
-  w.f64(a.hi);
-  w.i32(a.steps);
+/// One entry per job kind, in wire-tag order: fn(std::type_identity<J>).
+template <class Fn, std::size_t... I>
+constexpr auto kind_table(Fn fn, std::index_sequence<I...>) {
+  return std::array{
+      fn(std::type_identity<std::variant_alternative_t<I, Job>>{})...};
+}
+template <class Fn>
+constexpr auto kind_table(Fn fn) {
+  return kind_table(fn, std::make_index_sequence<std::variant_size_v<Job>>{});
 }
 
-void put(const dac::CalibrationOptions& c, mathx::ByteWriter& w) {
-  w.f64(c.range_lsb);
-  w.i32(c.bits);
-  w.f64(c.measure_noise_lsb);
-}
+constexpr auto kKindNames =
+    kind_table([](auto t) { return decltype(t)::type::kName; });
 
-void put(const dac::DynamicParams& d, mathx::ByteWriter& w) {
-  w.f64(d.fs);
-  w.i32(d.oversample);
-  w.f64(d.tau);
-  w.f64(d.rout_unit);
-  w.f64(d.binary_skew);
-  w.f64(d.jitter_sigma);
-  w.f64(d.feedthrough_lsb);
+template <class J>
+bool decode_as(mathx::ByteReader& r, JobValue& out) {
+  using R = typename J::Result;
+  if (r.u8() != kResultVersion<R>) return false;
+  R v;
+  get(r, v);
+  if (!r.done()) return false;
+  out = std::move(v);
+  return true;
 }
-
-void put_params(const InlYieldJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.u8(static_cast<std::uint8_t>(j.ref));
-  w.boolean(j.dnl);
-  w.boolean(j.adaptive);
-  w.i32(j.min_chips);
-  w.i32(j.batch);
-  w.f64(j.ci_half_width);
-}
-
-void put_params(const CalYieldJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  put(j.cal, w);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-}
-
-void put_params(const SweepBasicJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  put(j.tech, w);
-  put(j.cs, w);
-  put(j.sw, w);
-  w.u8(static_cast<std::uint8_t>(j.policy));
-  w.f64(j.fixed_margin);
-}
-
-void put_params(const SweepCascodeJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  put(j.tech, w);
-  put(j.cs, w);
-  put(j.sw, w);
-  put(j.cas, w);
-  w.u8(static_cast<std::uint8_t>(j.policy));
-  w.f64(j.fixed_margin);
-  w.u8(static_cast<std::uint8_t>(j.agg));
-}
-
-void put_params(const SpectrumJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.u64(j.seed);
-  put(j.dyn, w);
-  w.i32(j.n_samples);
-  w.i32(j.cycles);
-  w.boolean(j.differential);
-}
-
-void put_params(const InlYieldIsJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.f64(j.sigma_scale);
-  w.i32(j.modes);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.u8(static_cast<std::uint8_t>(j.ref));
-}
-
-void put_params(const InlYieldStratJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.i32(j.strata);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.u8(static_cast<std::uint8_t>(j.ref));
-}
-
-void put_params(const InlYieldBridgeJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.f64(j.limit);
-}
-
-void put(const arch::TimingParams& t, mathx::ByteWriter& w) {
-  w.f64(t.fs);
-  w.i32(t.oversample);
-  w.f64(t.tau);
-  w.f64(t.sigma_t);
-  w.f64(t.asym_sigma);
-}
-
-void put_params(const DynSpectrumJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.u8(static_cast<std::uint8_t>(j.scheme));
-  w.i32(j.scheme_param);
-  put(j.timing, w);
-  w.i32(j.n_samples);
-  w.i32(j.cycles);
-  w.f64(j.sfdr_limit_db);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.boolean(j.adaptive);
-  w.i32(j.min_chips);
-  w.i32(j.batch);
-  w.f64(j.ci_half_width);
-}
-
-void put_params(const ArchCompareJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  put(j.timing, w);
-  w.i32(j.n_samples);
-  w.i32(j.cycles);
-  w.i32(j.chips);
-  w.i32(j.dyn_chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.i32(j.seg_lo);
-  w.i32(j.seg_hi);
-  w.boolean(j.include_unary);
-  w.i32(j.opt_cells);
-}
-
-void put_params(const SpiceMcJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  put(j.tech, w);
-  w.f64(j.vod_cs);
-  w.f64(j.vod_sw);
-  w.f64(j.vod_cas);
-  w.boolean(j.cascode);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.f64(j.sigma_scale);
-  w.boolean(j.differential);
-  w.boolean(j.with_caps);
-}
-
-// Result payload codec. Each kind carries its own schema version so a
-// result-format change invalidates only that kind's entries (the reader
-// rejects, the caller recomputes and overwrites).
-constexpr std::uint8_t kYieldResultV = 1;
-constexpr std::uint8_t kCalResultV = 1;
-constexpr std::uint8_t kSweepResultV = 1;
-constexpr std::uint8_t kSpectrumResultV = 1;
-constexpr std::uint8_t kIsResultV = 1;
-constexpr std::uint8_t kStratResultV = 1;
-constexpr std::uint8_t kBridgeResultV = 1;
-constexpr std::uint8_t kDynSpectrumResultV = 1;
-constexpr std::uint8_t kArchCompareResultV = 1;
-constexpr std::uint8_t kSpiceMcResultV = 1;
 
 }  // namespace
+
+std::string_view kind_name(JobKind kind) {
+  const auto i = static_cast<std::size_t>(kind) - 1;
+  return i < kKindNames.size() ? kKindNames[i] : "unknown";
+}
+
+bool job_from_name(std::string_view name, Job& out) {
+  static constexpr auto kMakers = kind_table([](auto t) {
+    return +[]() -> Job { return typename decltype(t)::type{}; };
+  });
+  for (std::size_t i = 0; i < kKindNames.size(); ++i) {
+    if (kKindNames[i] == name) {
+      out = kMakers[i]();
+      return true;
+    }
+  }
+  return false;
+}
 
 void canonical_inputs(const Job& job, mathx::ByteWriter& w) {
   w.str(kEngineVersion);
   w.u8(static_cast<std::uint8_t>(job_kind(job)));
-  std::visit([&w](const auto& j) { put_params(j, w); }, job);
+  std::visit([&w](const auto& j) { put(w, j); }, job);
 }
 
 mathx::HashKey128 job_key(const Job& job) {
@@ -291,255 +137,23 @@ mathx::HashKey128 job_key(const Job& job) {
 void encode_value(const JobValue& value, mathx::ByteWriter& w) {
   std::visit(
       [&w](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, YieldResult>) {
-          w.u8(kYieldResultV);
-          w.i64(v.chips);
-          w.i64(v.pass);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-        } else if constexpr (std::is_same_v<T, CalYieldResult>) {
-          w.u8(kCalResultV);
-          w.i64(v.chips);
-          w.f64(v.yield_before);
-          w.f64(v.yield_after);
-        } else if constexpr (std::is_same_v<T, SweepResult>) {
-          w.u8(kSweepResultV);
-          w.u32(static_cast<std::uint32_t>(v.points.size()));
-          for (const auto& p : v.points) {
-            w.f64(p.vod_cs);
-            w.f64(p.vod_sw);
-            w.f64(p.vod_cas);
-            w.boolean(p.feasible);
-            w.f64(p.margin);
-            w.f64(p.area);
-            w.f64(p.f_min_hz);
-            w.f64(p.t_settle_s);
-            w.f64(p.rout_unit);
-          }
-        } else if constexpr (std::is_same_v<T, SpectrumSummary>) {
-          w.u8(kSpectrumResultV);
-          w.f64(v.sfdr_db);
-          w.f64(v.sndr_db);
-          w.f64(v.thd_db);
-          w.f64(v.enob);
-        } else if constexpr (std::is_same_v<T, IsYieldResult>) {
-          w.u8(kIsResultV);
-          w.i64(v.chips);
-          w.i64(v.fails);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-          w.f64(v.ess);
-          w.f64(v.ess_fraction);
-          w.f64(v.log_weight_max);
-          w.f64(v.log_weight_min);
-          w.boolean(v.low_ess);
-        } else if constexpr (std::is_same_v<T, StratYieldResult>) {
-          w.u8(kStratResultV);
-          w.i64(v.chips);
-          w.i64(v.pairs);
-          w.i32(v.strata);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-        } else if constexpr (std::is_same_v<T, BridgeYieldResult>) {
-          w.u8(kBridgeResultV);
-          w.f64(v.yield);
-          w.f64(v.c);
-          w.f64(v.sigma_inl);
-        } else if constexpr (std::is_same_v<T, DynSpectrumResult>) {
-          w.u8(kDynSpectrumResultV);
-          w.i64(v.chips);
-          w.i64(v.pass);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-          w.f64(v.sfdr_mean_db);
-          w.f64(v.sfdr_min_db);
-          w.f64(v.sndr_mean_db);
-          w.f64(v.ete_sfdr_mean_db);
-          w.i32(v.cells);
-        } else if constexpr (std::is_same_v<T, SpiceMcResult>) {
-          w.u8(kSpiceMcResultV);
-          w.i64(v.chips);
-          w.i64(v.pass);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-          w.f64(v.inl_mean);
-          w.f64(v.inl_worst);
-          w.i64(v.newton_iters);
-          w.i64(v.factorizations);
-          w.i64(v.refactorizations);
-          w.i64(v.warm_starts);
-          w.i64(v.warm_start_hits);
-          w.i64(v.device_evals);
-          w.f64(v.warm_start_hit_rate);
-        } else if constexpr (std::is_same_v<T, ArchCompareResult>) {
-          w.u8(kArchCompareResultV);
-          w.u32(static_cast<std::uint32_t>(v.points.size()));
-          for (const auto& p : v.points) {
-            w.u8(p.scheme);
-            w.i32(p.param);
-            w.i32(p.cells);
-            w.f64(p.inl_yield);
-            w.f64(p.inl_ci95);
-            w.f64(p.sfdr_db);
-            w.f64(p.ete_sfdr_db);
-            w.f64(p.activity);
-          }
-        }
+        w.u8(kResultVersion<std::remove_cvref_t<decltype(v)>>);
+        put(w, v);
       },
       value);
 }
 
 bool decode_value(JobKind kind, mathx::ByteReader& r, JobValue& out) {
-  switch (kind) {
-    case JobKind::kInlYield: {
-      if (r.u8() != kYieldResultV) return false;
-      YieldResult v;
-      v.chips = r.i64();
-      v.pass = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kCalYield: {
-      if (r.u8() != kCalResultV) return false;
-      CalYieldResult v;
-      v.chips = r.i64();
-      v.yield_before = r.f64();
-      v.yield_after = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kSweepBasic:
-    case JobKind::kSweepCascode: {
-      if (r.u8() != kSweepResultV) return false;
-      SweepResult v;
-      const std::uint32_t n = r.u32();
-      if (n > r.remaining() / (8 * 8 + 1)) return false;
-      v.points.resize(n);
-      for (auto& p : v.points) {
-        p.vod_cs = r.f64();
-        p.vod_sw = r.f64();
-        p.vod_cas = r.f64();
-        p.feasible = r.boolean();
-        p.margin = r.f64();
-        p.area = r.f64();
-        p.f_min_hz = r.f64();
-        p.t_settle_s = r.f64();
-        p.rout_unit = r.f64();
-      }
-      out = std::move(v);
-      break;
-    }
-    case JobKind::kSpectrum: {
-      if (r.u8() != kSpectrumResultV) return false;
-      SpectrumSummary v;
-      v.sfdr_db = r.f64();
-      v.sndr_db = r.f64();
-      v.thd_db = r.f64();
-      v.enob = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kInlYieldIs: {
-      if (r.u8() != kIsResultV) return false;
-      IsYieldResult v;
-      v.chips = r.i64();
-      v.fails = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      v.ess = r.f64();
-      v.ess_fraction = r.f64();
-      v.log_weight_max = r.f64();
-      v.log_weight_min = r.f64();
-      v.low_ess = r.boolean();
-      out = v;
-      break;
-    }
-    case JobKind::kInlYieldStrat: {
-      if (r.u8() != kStratResultV) return false;
-      StratYieldResult v;
-      v.chips = r.i64();
-      v.pairs = r.i64();
-      v.strata = r.i32();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kInlYieldBridge: {
-      if (r.u8() != kBridgeResultV) return false;
-      BridgeYieldResult v;
-      v.yield = r.f64();
-      v.c = r.f64();
-      v.sigma_inl = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kDynSpectrum: {
-      if (r.u8() != kDynSpectrumResultV) return false;
-      DynSpectrumResult v;
-      v.chips = r.i64();
-      v.pass = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      v.sfdr_mean_db = r.f64();
-      v.sfdr_min_db = r.f64();
-      v.sndr_mean_db = r.f64();
-      v.ete_sfdr_mean_db = r.f64();
-      v.cells = r.i32();
-      out = v;
-      break;
-    }
-    case JobKind::kArchCompare: {
-      if (r.u8() != kArchCompareResultV) return false;
-      ArchCompareResult v;
-      const std::uint32_t n = r.u32();
-      // Bytes per encoded ArchPoint: u8 scheme + 2 * i32 + 5 * f64.
-      if (n > r.remaining() / (5 * 8 + 2 * 4 + 1)) return false;
-      v.points.resize(n);
-      for (auto& p : v.points) {
-        p.scheme = r.u8();
-        p.param = r.i32();
-        p.cells = r.i32();
-        p.inl_yield = r.f64();
-        p.inl_ci95 = r.f64();
-        p.sfdr_db = r.f64();
-        p.ete_sfdr_db = r.f64();
-        p.activity = r.f64();
-      }
-      out = std::move(v);
-      break;
-    }
-    case JobKind::kSpiceMc: {
-      if (r.u8() != kSpiceMcResultV) return false;
-      SpiceMcResult v;
-      v.chips = r.i64();
-      v.pass = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      v.inl_mean = r.f64();
-      v.inl_worst = r.f64();
-      v.newton_iters = r.i64();
-      v.factorizations = r.i64();
-      v.refactorizations = r.i64();
-      v.warm_starts = r.i64();
-      v.warm_start_hits = r.i64();
-      v.device_evals = r.i64();
-      v.warm_start_hit_rate = r.f64();
-      out = v;
-      break;
-    }
-    default: return false;
-  }
-  return r.done();
+  static constexpr auto kDecoders = kind_table([](auto t) {
+    return &decode_as<typename decltype(t)::type>;
+  });
+  const auto i = static_cast<std::size_t>(kind) - 1;
+  return i < kDecoders.size() && kDecoders[i](r, out);
 }
 
 namespace {
 
-JobValue run_inl_yield(const InlYieldJob& j, int threads,
-                       mathx::RunStats* stats) {
+YieldResult run(const InlYieldJob& j, int threads, mathx::RunStats* stats) {
   dac::YieldEstimate y;
   if (j.adaptive) {
     dac::AdaptiveMcOptions o;
@@ -559,46 +173,30 @@ JobValue run_inl_yield(const InlYieldJob& j, int threads,
                                   j.limit, j.ref, threads);
   }
   if (stats) *stats = y.stats;
-  YieldResult r;
-  r.chips = y.chips;
-  r.pass = y.pass;
-  r.yield = y.yield;
-  r.ci95 = y.ci95;
-  return r;
+  return {.chips = y.chips, .pass = y.pass, .yield = y.yield, .ci95 = y.ci95};
 }
 
-JobValue run_cal_yield(const CalYieldJob& j, int threads,
-                       mathx::RunStats* stats) {
+CalYieldResult run(const CalYieldJob& j, int threads, mathx::RunStats* stats) {
   const dac::CalibratedYield y = dac::calibration_yield_mc(
       j.spec, j.sigma_unit, j.cal, j.chips, j.seed, j.limit, threads);
   if (stats) *stats = y.stats;
-  CalYieldResult r;
-  r.chips = y.chips;
-  r.yield_before = y.yield_before;
-  r.yield_after = y.yield_after;
-  return r;
+  return {.chips = y.chips, .yield_before = y.yield_before,
+          .yield_after = y.yield_after};
 }
 
-JobValue run_sweep_basic(const SweepBasicJob& j, int threads,
-                         mathx::RunStats* stats) {
+SweepResult run(const SweepBasicJob& j, int threads, mathx::RunStats* stats) {
   const core::DesignSpaceExplorer ex(core::CellSizer(j.tech, j.spec));
-  SweepResult r;
-  r.points =
-      ex.sweep_basic(j.cs, j.sw, j.policy, j.fixed_margin, threads, stats);
-  return r;
+  return {ex.sweep_basic(j.cs, j.sw, j.policy, j.fixed_margin, threads,
+                         stats)};
 }
 
-JobValue run_sweep_cascode(const SweepCascodeJob& j, int threads,
-                           mathx::RunStats* stats) {
+SweepResult run(const SweepCascodeJob& j, int threads, mathx::RunStats* stats) {
   const core::DesignSpaceExplorer ex(core::CellSizer(j.tech, j.spec));
-  SweepResult r;
-  r.points = ex.sweep_cascode(j.cs, j.sw, j.cas, j.policy, j.fixed_margin,
-                              j.agg, threads, stats);
-  return r;
+  return {ex.sweep_cascode(j.cs, j.sw, j.cas, j.policy, j.fixed_margin,
+                           j.agg, threads, stats)};
 }
 
-JobValue run_spectrum(const SpectrumJob& j, int threads,
-                      mathx::RunStats* stats) {
+SpectrumSummary run(const SpectrumJob& j, int threads, mathx::RunStats* stats) {
   (void)threads;  // waveform synthesis is inherently sequential
   j.spec.validate();
   j.dyn.validate();
@@ -633,50 +231,33 @@ JobValue run_spectrum(const SpectrumJob& j, int threads,
     stats->evaluated = static_cast<std::int64_t>(sampled.size());
     stats->threads = 1;
   }
-  SpectrumSummary r;
-  r.sfdr_db = s.sfdr_db;
-  r.sndr_db = s.sndr_db;
-  r.thd_db = s.thd_db;
-  r.enob = s.enob;
-  return r;
+  return {.sfdr_db = s.sfdr_db, .sndr_db = s.sndr_db, .thd_db = s.thd_db,
+          .enob = s.enob};
 }
 
-JobValue run_inl_yield_is(const InlYieldIsJob& j, int threads,
-                          mathx::RunStats* stats) {
+IsYieldResult run(const InlYieldIsJob& j, int threads, mathx::RunStats* stats) {
   const dac::IsYieldEstimate y =
       dac::inl_yield_is(j.spec, j.sigma_unit, j.sigma_scale, j.modes, j.chips,
                         j.seed, j.limit, j.ref, threads);
   if (stats) *stats = y.stats;
-  IsYieldResult r;
-  r.chips = y.chips;
-  r.fails = y.fails;
-  r.yield = y.yield;
-  r.ci95 = y.ci95;
-  r.ess = y.ess;
-  r.ess_fraction = y.ess_fraction;
-  r.log_weight_max = y.log_weight_max;
-  r.log_weight_min = y.log_weight_min;
-  r.low_ess = y.low_ess;
-  return r;
+  return {.chips = y.chips, .fails = y.fails, .yield = y.yield,
+          .ci95 = y.ci95, .ess = y.ess, .ess_fraction = y.ess_fraction,
+          .log_weight_max = y.log_weight_max,
+          .log_weight_min = y.log_weight_min, .low_ess = y.low_ess};
 }
 
-JobValue run_inl_yield_strat(const InlYieldStratJob& j, int threads,
-                             mathx::RunStats* stats) {
+StratYieldResult run(const InlYieldStratJob& j, int threads,
+                     mathx::RunStats* stats) {
   const dac::StratYieldEstimate y = dac::inl_yield_stratified(
       j.spec, j.sigma_unit, j.strata, j.chips, j.seed, j.limit, j.ref,
       threads);
   if (stats) *stats = y.stats;
-  StratYieldResult r;
-  r.chips = y.chips;
-  r.pairs = y.pairs;
-  r.strata = y.strata;
-  r.yield = y.yield;
-  r.ci95 = y.ci95;
-  return r;
+  return {.chips = y.chips, .pairs = y.pairs, .strata = y.strata,
+          .yield = y.yield, .ci95 = y.ci95};
 }
 
-JobValue run_inl_yield_bridge(const InlYieldBridgeJob& j, int threads,
-                              mathx::RunStats* stats) {
+BridgeYieldResult run(const InlYieldBridgeJob& j, int threads,
+                      mathx::RunStats* stats) {
   (void)threads;  // closed form; nothing to parallelize
   const dac::BridgeYieldEstimate y =
       dac::inl_yield_bridge(j.spec, j.sigma_unit, j.limit);
@@ -684,11 +265,7 @@ JobValue run_inl_yield_bridge(const InlYieldBridgeJob& j, int threads,
     stats->evaluated = 0;  // no chips drawn: that is the whole point
     stats->threads = 1;
   }
-  BridgeYieldResult r;
-  r.yield = y.yield;
-  r.c = y.c;
-  r.sigma_inl = y.sigma_inl;
-  return r;
+  return {.yield = y.yield, .c = y.c, .sigma_inl = y.sigma_inl};
 }
 
 /// Resolves the scheme-param defaults against the spec: segmented 0 means
@@ -717,8 +294,8 @@ void check_record_shape(int n_samples, int cycles) {
   }
 }
 
-JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
-                          mathx::RunStats* stats) {
+DynSpectrumResult run(const DynSpectrumJob& j, int threads,
+                      mathx::RunStats* stats) {
   j.spec.validate();
   j.timing.validate();
   check_record_shape(j.n_samples, j.cycles);
@@ -790,8 +367,8 @@ JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
   return r;
 }
 
-JobValue run_arch_compare(const ArchCompareJob& j, int threads,
-                          mathx::RunStats* stats) {
+ArchCompareResult run(const ArchCompareJob& j, int threads,
+                      mathx::RunStats* stats) {
   j.spec.validate();
   j.timing.validate();
   check_record_shape(j.n_samples, j.cycles);
@@ -919,8 +496,7 @@ JobValue run_arch_compare(const ArchCompareJob& j, int threads,
   return res;
 }
 
-JobValue run_spice_mc(const SpiceMcJob& j, int threads,
-                      mathx::RunStats* stats) {
+SpiceMcResult run(const SpiceMcJob& j, int threads, mathx::RunStats* stats) {
   j.spec.validate();
   if (j.chips < 1) throw std::invalid_argument("spice_mc job: chips < 1");
   if (!std::isfinite(j.sigma_scale) || j.sigma_scale < 0.0) {
@@ -946,30 +522,11 @@ JobValue run_spice_mc(const SpiceMcJob& j, int threads,
 JobValue execute_job(const Job& job, int threads, mathx::RunStats* stats) {
   return std::visit(
       [&](const auto& j) -> JobValue {
-        using T = std::decay_t<decltype(j)>;
-        if constexpr (std::is_same_v<T, InlYieldJob>) {
-          return run_inl_yield(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, CalYieldJob>) {
-          return run_cal_yield(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, SweepBasicJob>) {
-          return run_sweep_basic(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, SweepCascodeJob>) {
-          return run_sweep_cascode(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, InlYieldIsJob>) {
-          return run_inl_yield_is(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, InlYieldStratJob>) {
-          return run_inl_yield_strat(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, InlYieldBridgeJob>) {
-          return run_inl_yield_bridge(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, DynSpectrumJob>) {
-          return run_dyn_spectrum(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, ArchCompareJob>) {
-          return run_arch_compare(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, SpiceMcJob>) {
-          return run_spice_mc(j, threads, stats);
-        } else {
-          return run_spectrum(j, threads, stats);
-        }
+        static_assert(
+            std::is_same_v<decltype(run(j, threads, stats)),
+                           typename std::remove_cvref_t<decltype(j)>::Result>,
+            "each kind's run() returns its declared Result");
+        return run(j, threads, stats);
       },
       job);
 }

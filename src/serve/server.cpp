@@ -1,8 +1,10 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include <arpa/inet.h>
@@ -76,24 +78,25 @@ constexpr int kNumStages = 8;
 
 /// serve.stage_us{kind=...,stage=...} histograms for one job kind. The
 /// labeled registry lookup takes a mutex, so references are resolved once
-/// per kind and cached — the per-job cost is eight wait-free observe()s.
+/// per kind, on the kind's first job, into a slot indexed by its wire tag
+/// — the per-job cost is eight wait-free observe()s.
 struct StageHists {
   obs::Histogram* stage[kNumStages] = {};
 
   static const StageHists& get(runtime::JobKind kind) {
-    static std::mutex mu;
-    static std::map<runtime::JobKind, StageHists> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto [it, fresh] = cache.try_emplace(kind);
-    if (fresh) {
+    constexpr std::size_t kKinds = std::variant_size_v<runtime::Job>;
+    static std::array<std::once_flag, kKinds> once;
+    static std::array<StageHists, kKinds> table;
+    const std::size_t k = static_cast<std::size_t>(kind) - 1;
+    std::call_once(once[k], [&] {
       const std::string kind_s(runtime::kind_name(kind));
       for (int s = 0; s < kNumStages; ++s) {
-        it->second.stage[s] = &obs::Registry::global().histogram(
+        table[k].stage[s] = &obs::Registry::global().histogram(
             "serve.stage_us", {{"kind", kind_s}, {"stage", kStageNames[s]}},
             "per-stage job latency attribution [us]");
       }
-    }
-    return it->second;
+    });
+    return table[k];
   }
 
   void observe(const JobStages& j) const {
@@ -104,8 +107,8 @@ struct StageHists {
   }
 };
 
-void emit_stages(bench::JsonWriter& w, const JobStages& j) {
-  w.key("stages").begin_object();
+/// The stage record's fields, shared by the reply and the slow log.
+void stage_fields(bench::JsonWriter& w, const JobStages& j) {
   w.field("admission_us", j.admission_us);
   w.field("queue_us", j.queue_us);
   w.field("hot_us", j.hot_us);
@@ -114,7 +117,6 @@ void emit_stages(bench::JsonWriter& w, const JobStages& j) {
   w.field("store_us", j.store_us);
   w.field("serialize_us", j.serialize_us);
   w.field("total_us", j.total_us());
-  w.end_object();
 }
 
 }  // namespace
@@ -441,7 +443,9 @@ std::string Server::handle_request(const runtime::JsonValue& request,
       js.serialize_us = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - s0)
                             .count();
-      emit_stages(w, js);
+      w.key("stages").begin_object();
+      stage_fields(w, js);
+      w.end_object();
       StageHists::get(kind).observe(js);
       if (counted.emplace(t.key, true).second) {
         chip_evals += res->stats.evaluated;
@@ -498,19 +502,11 @@ std::string Server::handle_request(const runtime::JsonValue& request,
     sl.field("failed", failed);
     sl.key("job_stages").begin_array();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const JobStages& js = job_stages[i];
       sl.begin_object();
       sl.field("id", jobs[i].id);
       sl.field("kind",
                runtime::kind_name(runtime::job_kind(jobs[i].job)));
-      sl.field("admission_us", js.admission_us);
-      sl.field("queue_us", js.queue_us);
-      sl.field("hot_us", js.hot_us);
-      sl.field("disk_us", js.disk_us);
-      sl.field("compute_us", js.compute_us);
-      sl.field("store_us", js.store_us);
-      sl.field("serialize_us", js.serialize_us);
-      sl.field("total_us", js.total_us());
+      stage_fields(sl, job_stages[i]);
       sl.end_object();
     }
     sl.end_array();
