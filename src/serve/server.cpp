@@ -403,8 +403,11 @@ std::string Server::handle_request(const runtime::JsonValue& request,
   // keeps the FIRST submitter's trace id — one execution, one
   // attribution).
   std::vector<runtime::Scheduler::Ticket> tickets;
+  std::vector<std::chrono::steady_clock::time_point> submitted;
   tickets.reserve(jobs.size());
+  submitted.reserve(jobs.size());
   for (const RequestJob& e : jobs) {
+    submitted.push_back(std::chrono::steady_clock::now());
     tickets.push_back(sched_->submit(e.job, conn_id, e.id, trace,
                                      span.id()));
   }
@@ -434,12 +437,21 @@ std::string Server::handle_request(const runtime::JsonValue& request,
       const auto s0 = std::chrono::steady_clock::now();
       emit_result(w, res->value);
       JobStages& js = job_stages[i];
-      js.admission_us = res->stages.admission_us;
-      js.queue_us = res->stages.queue_us;
-      js.hot_us = res->stages.hot_us;
-      js.disk_us = res->stages.disk_us;
-      js.compute_us = res->stages.compute_us;
-      js.store_us = res->stages.store_us;
+      if (t.deduped) {
+        // A joiner shares another job's execution, whose stage record
+        // that job reports: booking it again would count one compute
+        // once per duplicate. The joiner's own cost is its wait.
+        js.queue_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          s0 - submitted[i])
+                          .count();
+      } else {
+        js.admission_us = res->stages.admission_us;
+        js.queue_us = res->stages.queue_us;
+        js.hot_us = res->stages.hot_us;
+        js.disk_us = res->stages.disk_us;
+        js.compute_us = res->stages.compute_us;
+        js.store_us = res->stages.store_us;
+      }
       js.serialize_us = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - s0)
                             .count();

@@ -2,8 +2,9 @@
 // reply and land in the flight recorder; server-minted ids fill the gap
 // when the client sends none; oversized ids are rejected as bad_request;
 // every successful job carries the per-stage latency attribution record
-// (and a warm hot-cache hit attributes zero compute); trace ids survive a
-// concurrent multi-client storm without cross-talk; and a shutdown
+// (and a warm hot-cache hit attributes zero compute, a dedup joiner only
+// its wait); trace ids survive a concurrent multi-client storm without
+// cross-talk; and a shutdown
 // arriving mid-batch still leaves the flight ring and the metrics
 // registry dumpable (the regression behind `csdac_serve`'s exit flush).
 #include <gtest/gtest.h>
@@ -168,6 +169,48 @@ TEST(Tracing, WarmHitAttributesZeroCompute) {
   const auto* warm = check_stages(doc);
   ASSERT_NE(warm, nullptr);
   EXPECT_EQ(warm->int_or("compute_us", -1), 0);
+}
+
+TEST(Tracing, DedupJoinerBooksItsWaitNotTheSharedCompute) {
+  ServerFixture fx;
+  REQUIRE_SERVER(fx);
+  Client c = fx.connect();
+  // Two identical jobs in one request: the second joins the first one's
+  // in-flight execution (the job runs long enough that the join is
+  // certain), so one compute serves both.
+  const std::string job =
+      "{\"kind\":\"inl_yield\",\"chips\":3000,\"seed\":105}";
+  const std::string req = "{\"schema\":\"csdac-request/1\",\"jobs\":[" +
+                          job + "," + job + "]}";
+  std::string reply;
+  ASSERT_EQ(c.call(req, reply), FrameStatus::kOk);
+  const runtime::JsonValue doc = parse_reply(reply);
+  ASSERT_EQ(error_code(doc), "");
+  const auto* summary = doc.find("summary");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->int_or("deduped", -1), 1);
+  const double wall_us = summary->number_or("wall_s", 0.0) * 1e6;
+  const auto* jobs = doc.find("jobs");
+  ASSERT_TRUE(jobs && jobs->is_array() && jobs->arr.size() == 2u);
+  long long compute_sum = 0, owner_compute = -1;
+  for (const runtime::JsonValue& j : jobs->arr) {
+    const auto* stages = j.find("stages");
+    ASSERT_TRUE(stages && stages->is_object());
+    const long long total = stages->int_or("total_us", -1);
+    EXPECT_GE(total, 0);
+    EXPECT_LE(static_cast<double>(total), wall_us);
+    compute_sum += stages->int_or("compute_us", -1);
+    if (j.bool_or("deduped", false)) {
+      for (const char* stage : {"hot_us", "disk_us", "compute_us",
+                                "store_us"}) {
+        EXPECT_EQ(stages->int_or(stage, -1), 0) << stage;
+      }
+    } else {
+      owner_compute = stages->int_or("compute_us", -1);
+    }
+  }
+  EXPECT_GT(owner_compute, 0);
+  EXPECT_EQ(compute_sum, owner_compute) << "one execution, counted once";
 }
 
 TEST(Tracing, ConcurrentStormKeepsTraceIdsStraight) {
