@@ -6,7 +6,7 @@
 Exports <ref> into a temporary directory (`git archive`, so an interrupted
 gate leaves nothing registered in the repository), then runs
 `csbench/run.py` there and in this checkout: for each workload of
-BENCHMARK.json, 5 pairs of `run_seconds`-long runs, pair i on seed i+1,
+BENCHMARK.json, 10 pairs of `run_seconds`-long runs, pair i on seed i+1,
 alternating which side goes first. Each side builds its own
 `.bench_build/` on its first run.
 
@@ -33,7 +33,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRS = 5
+PAIRS = 10
 OUT = os.path.join(ROOT, "BENCH_perf_gate.json")
 
 
