@@ -96,11 +96,16 @@ class ByteWriter {
   HashKey128 hash() const { return hash128(buf_.data(), buf_.size()); }
 
  private:
+  /// Appends v's bytes with one capacity check: a per-byte push_back,
+  /// inlined into every field of a codec's field-list expansion, bloats
+  /// the key and payload encoders enough to slow them measurably.
   template <typename T>
   void put_le(T v) {
+    unsigned char b[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<unsigned char>(v >> (8 * i)));
+      b[i] = static_cast<unsigned char>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), b, b + sizeof(T));
   }
 
   std::vector<unsigned char> buf_;
