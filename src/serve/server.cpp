@@ -403,11 +403,8 @@ std::string Server::handle_request(const runtime::JsonValue& request,
   // keeps the FIRST submitter's trace id — one execution, one
   // attribution).
   std::vector<runtime::Scheduler::Ticket> tickets;
-  std::vector<std::chrono::steady_clock::time_point> submitted;
   tickets.reserve(jobs.size());
-  submitted.reserve(jobs.size());
   for (const RequestJob& e : jobs) {
-    submitted.push_back(std::chrono::steady_clock::now());
     tickets.push_back(sched_->submit(e.job, conn_id, e.id, trace,
                                      span.id()));
   }
@@ -440,10 +437,11 @@ std::string Server::handle_request(const runtime::JsonValue& request,
       if (t.deduped) {
         // A joiner shares another job's execution, whose stage record
         // that job reports: booking it again would count one compute
-        // once per duplicate. The joiner's own cost is its wait.
-        js.queue_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          s0 - submitted[i])
-                          .count();
+        // once per duplicate. The joiner's own cost is its wait, from
+        // the request's start.
+        js.queue_us =
+            std::chrono::duration_cast<std::chrono::microseconds>(s0 - t0)
+                .count();
       } else {
         js.admission_us = res->stages.admission_us;
         js.queue_us = res->stages.queue_us;
