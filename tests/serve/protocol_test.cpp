@@ -3,13 +3,17 @@
 // hostile-input corpus under tests/serve/corpus/) get structured error
 // frames on a connection that stays open; framing violations (bad magic,
 // oversized frames, truncation, mid-request disconnects) drop only that
-// connection while the server keeps serving everyone else.
+// connection while the server keeps serving everyone else. Seeded
+// mutations of the corpus and of the tools/ sample requests either parse
+// or throw RequestError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,6 +81,13 @@ std::string error_code(const runtime::JsonValue& doc) {
   return error ? error->string_or("code", "") : "";
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 TEST(Protocol, GoodRequestRoundTrips) {
   ServerFixture fx;
   REQUIRE_SERVER(fx);
@@ -137,16 +148,67 @@ TEST(Protocol, HostileCorpusNeverCrashesOrSucceeds) {
   Client c = fx.connect();
   std::string reply;
   for (const auto& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    ASSERT_EQ(c.call(buf.str(), reply), FrameStatus::kOk) << file;
+    ASSERT_EQ(c.call(read_file(file), reply), FrameStatus::kOk) << file;
     EXPECT_NE(error_code(parse_reply(reply)), "")
         << file << " was accepted instead of rejected";
   }
   // Still alive, still correct.
   ASSERT_EQ(c.call(kGoodRequest, reply), FrameStatus::kOk);
   EXPECT_EQ(error_code(parse_reply(reply)), "");
+}
+
+// Every corpus file and every tools/*_request.json, mutated 1-4 times
+// over by bit flips, byte deletes, inserts of JSON punctuation and
+// truncations under a fixed seed: each mutant must parse or throw
+// RequestError, never anything else. Raw generator output only (no
+// std::*_distribution), so the inputs are the same on every standard
+// library.
+TEST(Protocol, SeededMutationsParseOrThrowRequestError) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(CSDAC_SERVE_CORPUS_DIR)) {
+    files.push_back(entry.path());
+  }
+  for (const auto& entry : fs::directory_iterator(CSDAC_TOOLS_DIR)) {
+    if (entry.path().filename().string().ends_with("_request.json")) {
+      files.push_back(entry.path());
+    }
+  }
+  ASSERT_GE(files.size(), 28u) << "corpus or sample requests went missing";
+  std::sort(files.begin(), files.end());  // directory order is unspecified
+
+  constexpr int kMutantsPerFile = 750;
+  static constexpr char kPunct[] = "{}[]:,\"\\-.0eE";
+  std::mt19937_64 rng(0xC5DAC);
+  int parsed = 0, rejected = 0;
+  for (const fs::path& file : files) {
+    const std::string original = read_file(file);
+    for (int m = 0; m < kMutantsPerFile; ++m) {
+      std::string text = original;
+      for (auto edits = 1 + rng() % 4; edits > 0 && !text.empty(); --edits) {
+        const std::size_t at = rng() % text.size();
+        switch (rng() % 4) {
+          case 0: text[at] ^= static_cast<char>(1u << (rng() % 8)); break;
+          case 1: text.erase(at, 1); break;
+          case 2: text.insert(at, 1, kPunct[rng() % (sizeof(kPunct) - 1)]);
+                  break;
+          default: text.resize(at); break;
+        }
+      }
+      try {
+        parse_request_text(text);
+        ++parsed;
+      } catch (const RequestError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << file << ": non-RequestError exception "
+                      << e.what() << " on input:\n" << text;
+      }
+    }
+  }
+  // Both outcomes occur, so the mutants neither all die at the first
+  // byte nor all leave the requests intact.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Protocol, BadMagicGetsErrorFrameAndDrop) {

@@ -33,8 +33,8 @@ Modes:
 
 --expect-serve (either mode) additionally requires the design-server
 counters: connections and requests accepted, zero error frames, a
-complete serve.request_us latency histogram. Used by the CI serve-smoke
-job on the dumps the server writes at shutdown.
+complete serve.request_us latency histogram. Used by the smoke.serve ctest
+on the dumps the server writes at shutdown.
 
 --expect-rare (either mode) additionally requires the rare-event
 estimator instruments: the cold dump must show at least one importance-

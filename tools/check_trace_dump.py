@@ -12,9 +12,8 @@ Checks, in order:
   * the file parses as JSON and has the object-with-traceEvents shape;
   * every event carries a valid ph; every "X" event has a non-empty name
     and finite, non-negative ts and dur;
-  * at least --min-events complete events were captured (default 1 —
-    an empty flight ring usually means the span sink was never
-    installed);
+  * at least one complete event was captured (an empty flight ring
+    usually means the span sink was never installed);
   * with --expect-trace PREFIX: at least one complete event carries
     args.trace_id starting with PREFIX — proves request-scoped trace ids
     made it through the server into the flight ring (loadgen mints
@@ -29,6 +28,8 @@ import json
 import math
 import sys
 
+MIN_EVENTS = 1
+
 
 def fail(msg):
     print(f"check_trace_dump: FAIL: {msg}", file=sys.stderr)
@@ -42,16 +43,12 @@ def finite_number(v):
 
 def main(argv):
     path = None
-    min_events = 1
     expect_trace = None
     expect_names = []
     i = 1
     while i < len(argv):
         a = argv[i]
-        if a == "--min-events":
-            i += 1
-            min_events = int(argv[i])
-        elif a == "--expect-trace":
+        if a == "--expect-trace":
             i += 1
             expect_trace = argv[i]
         elif a == "--expect-name":
@@ -69,7 +66,7 @@ def main(argv):
             return 2
         i += 1
     if path is None:
-        print("usage: check_trace_dump.py TRACE.json [--min-events N] "
+        print("usage: check_trace_dump.py TRACE.json "
               "[--expect-trace PREFIX] [--expect-name NAME]...",
               file=sys.stderr)
         return 2
@@ -110,9 +107,9 @@ def main(argv):
                 fail(f"{where}: bad {field} {ev.get(field)!r}")
         complete.append(ev)
 
-    if len(complete) < min_events:
+    if len(complete) < MIN_EVENTS:
         fail(f"{path}: {len(complete)} complete events, expected at "
-             f"least {min_events}")
+             f"least {MIN_EVENTS}")
 
     if expect_trace is not None:
         traced = [

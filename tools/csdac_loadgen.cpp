@@ -4,11 +4,11 @@
 // that every client sees bit-identical results for the same question —
 // the server-side scheduler dedups and caches, but must never change an
 // answer. Emits a machine-readable csdac-bench/5 document and checks it
-// itself (serve-smoke and trace-smoke CI jobs).
+// itself (the smoke.serve ctest, tests/serve/smoke.py).
 //
 //   csdac_loadgen --port N [--host H] [--port-file PATH] [--clients C]
 //                 [--requests R] [--jobs-per-request J] [--unique K]
-//                 [--chips N] [--out BENCH.json] [--smoke] [--shutdown]
+//                 [--chips N] [--out BENCH.json] [--shutdown]
 //
 // Client c's r-th request asks for jobs (c + r + j) % K of K unique
 // questions, so concurrent clients collide on the same keys constantly —
@@ -60,7 +60,6 @@ struct Options {
   int jobs_per_request = 1;
   int unique = 4;  ///< distinct questions across the whole run
   int chips = 200;
-  bool smoke = false;
   bool shutdown = false;
 };
 
@@ -85,7 +84,6 @@ Options parse_args(int argc, char** argv) {
     else if (std::strcmp(argv[a], "--chips") == 0)
       o.chips = std::atoi(value(a));
     else if (std::strcmp(argv[a], "--out") == 0) o.out_path = value(a);
-    else if (std::strcmp(argv[a], "--smoke") == 0) o.smoke = true;
     else if (std::strcmp(argv[a], "--shutdown") == 0) o.shutdown = true;
     else die("unknown argument " + std::string(argv[a]));
   }
@@ -349,7 +347,6 @@ int main(int argc, char** argv) {
   const char* sha = std::getenv("GITHUB_SHA");
   w.field("git_sha", sha ? sha : "");
   w.field("generated_unix", static_cast<std::int64_t>(std::time(nullptr)));
-  w.field("smoke", o.smoke);
   w.field("threads", o.clients);
   w.field("hardware_threads",
           static_cast<std::int64_t>(std::thread::hardware_concurrency()));

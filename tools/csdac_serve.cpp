@@ -8,9 +8,8 @@
 // with the persistent content-addressed cache, and writes a JSON response
 // (schema "csdac-serve/2", which embeds a metrics-registry snapshot under
 // "metrics"). A warm-cache run answers every question without a single
-// Monte-Carlo chip evaluation — the serve_batch_smoke test and the CI
-// metrics-smoke job assert exactly that from the response and the
-// Prometheus dump.
+// Monte-Carlo chip evaluation — the smoke.* ctests (tests/serve/smoke.py)
+// assert exactly that from the response and the Prometheus dump.
 //
 //   csdac_serve REQUEST.json [--out PATH] [--cache DIR] [--no-cache]
 //               [--cache-max-mb N] [--threads N]
